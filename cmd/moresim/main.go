@@ -27,6 +27,11 @@
 //	moresim -scenario scenarios/paper-testbed.json -metrics - -deadline-ms 500
 //	moresim -topo geometric -nodes 500 -progress 5
 //
+// -cpuprofile and -memprofile write pprof files covering the whole run
+// (flag combination or scenario), for `go tool pprof`:
+//
+//	moresim -scenario scenarios/learned-512.json -cpuprofile cpu.pprof -memprofile mem.pprof
+//
 // With -scale the node counts are swept (fanned over -parallel workers) and
 // a throughput/tx-per-packet/wall-clock table — or JSON with -json — is
 // printed. With -proto all the four protocols run over the same pair on
@@ -40,6 +45,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -96,22 +103,26 @@ func main() {
 		traceOut   = flag.String("trace-out", "", "write a Chrome-trace-event JSON file of every telemetry event (load in Perfetto or chrome://tracing)")
 		deadlineMS = flag.Float64("deadline-ms", 0, "per-packet delivery deadline for the telemetry miss rate, in milliseconds (0 disables)")
 		simLimit   = flag.Float64("sim-deadline", 0, "simulated transfer deadline in seconds, measured from flow start (0: the 3600 s default); bounds slow learned-state runs at scale")
-		progress   = flag.Float64("progress", 0, "print a progress heartbeat (events seen, simulated clock) to stderr every N wall-clock seconds (0 disables)")
+		progress   = flag.Float64("progress", 0, "print a progress heartbeat (simulator events processed and per second, telemetry events, simulated clock) to stderr every N wall-clock seconds (0 disables)")
+		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProf    = flag.String("memprofile", "", "write a pprof heap profile (allocations over the whole run) to this file when the run ends")
 	)
 	flag.Parse()
+	startProfiles(*cpuProf, *memProf)
+	defer stopProfiles()
 
 	tc := telemetryCLI{metrics: *metricsOut, trace: *traceOut, deadlineMS: *deadlineMS, progressS: *progress}
 
 	if *gfKernel != "" {
 		if err := gf256.SetKernel(*gfKernel); err != nil {
 			fmt.Fprintf(os.Stderr, "-gf256: %v\n", err)
-			os.Exit(2)
+			exit(2)
 		}
 	}
 
 	if *scenFile != "" {
 		if !runScenario(*scenFile, *jsonOut, tc) {
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -123,7 +134,7 @@ func main() {
 	opts.Parallel = *parallel
 	if *simLimit < 0 {
 		fmt.Fprintln(os.Stderr, "-sim-deadline must be >= 0")
-		os.Exit(2)
+		exit(2)
 	}
 	if *simLimit > 0 {
 		opts.Deadline = sim.Time(*simLimit * float64(sim.Second))
@@ -134,18 +145,18 @@ func main() {
 	state, err := experiments.ParseStateMode(*stateName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		exit(2)
 	}
 	ccPolicy, err := congest.ParsePolicy(*ccName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		exit(2)
 	}
 	opts.CC = congest.DefaultConfig(ccPolicy)
 	opts.CC.QueueLen = *ccQueue
 	if *loadPen < 0 {
 		fmt.Fprintln(os.Stderr, "-load-penalty must be >= 0")
-		os.Exit(2)
+		exit(2)
 	}
 	opts.LoadPenalty = *loadPen
 	if state == experiments.StateLearned {
@@ -154,7 +165,7 @@ func main() {
 		// degenerate knobs here instead.
 		if *window <= 0 || *advertise <= 0 {
 			fmt.Fprintln(os.Stderr, "-window and -advertise must be > 0")
-			os.Exit(2)
+			exit(2)
 		}
 		if *warmup > 0 {
 			opts.Warmup = sim.Time(*warmup * float64(sim.Second))
@@ -168,13 +179,13 @@ func main() {
 		if *scopeList != "" {
 			rings, ok := parseRings(*scopeList)
 			if !ok {
-				os.Exit(2)
+				exit(2)
 			}
 			lcfg.ScopeRings = rings
 		}
 		if *summaryS < 0 {
 			fmt.Fprintln(os.Stderr, "-summary-interval must be >= 0")
-			os.Exit(2)
+			exit(2)
 		}
 		lcfg.SummaryInterval = sim.Time(*summaryS * float64(sim.Second))
 		lcfg.Piggyback = *piggyback
@@ -199,7 +210,7 @@ func main() {
 		proto = experiments.SrcrAutorate
 	default:
 		fmt.Fprintf(os.Stderr, "unknown protocol %q\n", *protoName)
-		os.Exit(2)
+		exit(2)
 	}
 	if proto == experiments.SrcrAutorate {
 		opts.RateDependentChannel = true
@@ -208,11 +219,11 @@ func main() {
 	if *scaleList != "" {
 		if *protoName == "all" {
 			fmt.Fprintln(os.Stderr, "-scale needs a single protocol (default: more)")
-			os.Exit(2)
+			exit(2)
 		}
 		if tc.active() {
 			fmt.Fprintln(os.Stderr, "-metrics/-trace-out/-deadline-ms/-progress need a single simulation run, not a -scale sweep")
-			os.Exit(2)
+			exit(2)
 		}
 		if state == experiments.StateLearned {
 			// Each point runs the whole measurement plane in-sim: probes,
@@ -220,17 +231,17 @@ func main() {
 			opts.State = experiments.StateLearned
 			if *ccSweep {
 				fmt.Fprintln(os.Stderr, "-cc-sweep runs the oracle control plane; drop -state learned")
-				os.Exit(2)
+				exit(2)
 			}
 		}
 		if *ccSweep {
 			if !runCCSweep(*scaleList, *flows, *drop, gcfg, proto, opts, *jsonOut) {
-				os.Exit(1)
+				exit(1)
 			}
 			return
 		}
 		if !runScale(*scaleList, *flows, *drop, gcfg, proto, opts, *jsonOut) {
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -258,7 +269,7 @@ func main() {
 		defSrc, defDst = -1, -1 // chosen after Degrade, below
 	default:
 		fmt.Fprintf(os.Stderr, "unknown topology %q\n", *topoName)
-		os.Exit(2)
+		exit(2)
 	}
 	if *drop > 0 {
 		topo.Degrade(*drop)
@@ -275,7 +286,7 @@ func main() {
 		pairs := experiments.RandomPairs(topo, 1, *seed)
 		if len(pairs) == 0 {
 			fmt.Fprintln(os.Stderr, "no reachable flow pairs on this topology (too much -drop, or disconnected draw)")
-			os.Exit(1)
+			exit(1)
 		}
 		if *src < 0 {
 			*src = int(pairs[0].Src)
@@ -304,18 +315,18 @@ func main() {
 	if *protoName == "all" {
 		if *showTrace || tc.active() {
 			fmt.Fprintln(os.Stderr, "-trace and the telemetry flags are not supported with -proto all (one simulator per run; pick a protocol)")
-			os.Exit(2)
+			exit(2)
 		}
 		if state == experiments.StateLearned {
 			fmt.Fprintln(os.Stderr, "-proto all runs the oracle control plane; use -state learned with a single protocol")
-			os.Exit(2)
+			exit(2)
 		}
 		if *flows > 1 {
 			fmt.Fprintln(os.Stderr, "-proto all compares a single pair; use -flows with one protocol")
-			os.Exit(2)
+			exit(2)
 		}
 		if !compareAll(topo, pair.Src, pair.Dst, opts) {
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -324,22 +335,22 @@ func main() {
 	if *flows > 1 {
 		if flagWasSet("src") || flagWasSet("dst") {
 			fmt.Fprintln(os.Stderr, "-flows > 1 draws random pairs; it cannot be combined with -src/-dst")
-			os.Exit(2)
+			exit(2)
 		}
 		pairs = experiments.RandomPairs(topo, *flows, *seed)
 		if len(pairs) == 0 {
 			fmt.Fprintln(os.Stderr, "no reachable flow pairs on this topology")
-			os.Exit(1)
+			exit(1)
 		}
 	}
 
 	if state == experiments.StateLearned {
 		if *showTrace || tc.active() {
 			fmt.Fprintln(os.Stderr, "-trace and the telemetry flags are not supported with -state learned (the gap report runs two simulations)")
-			os.Exit(2)
+			exit(2)
 		}
 		if !runLearned(topo, proto, pairs, opts, *jsonOut) {
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -372,7 +383,7 @@ func main() {
 		fmt.Print(rec.Timeline(0, end, 96))
 	}
 	if hub != nil && !tc.finish(hub) {
-		os.Exit(1)
+		exit(1)
 	}
 	if *jsonOut {
 		out, _ := json.MarshalIndent(struct {
@@ -406,7 +417,7 @@ func main() {
 	}
 	for _, r := range rs {
 		if !r.Completed {
-			os.Exit(1)
+			exit(1)
 		}
 	}
 }
@@ -420,7 +431,7 @@ func runScenario(path string, jsonOut bool, tc telemetryCLI) bool {
 	spec, err := scenario.Load(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		exit(2)
 	}
 	var hub *telemetry.Hub
 	if tc.active() {
@@ -431,16 +442,16 @@ func runScenario(path string, jsonOut bool, tc telemetryCLI) bool {
 	stopProgress()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 	if hub != nil && !tc.finish(hub) {
-		os.Exit(1)
+		exit(1)
 	}
 	if jsonOut {
 		out, err := res.Encode()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		os.Stdout.Write(out)
 		return res.Done()
@@ -512,7 +523,7 @@ func runScale(list string, flows int, drop float64, gcfg graph.GeometricConfig,
 	proto experiments.Protocol, opts experiments.Options, jsonOut bool) bool {
 	counts, ok := parseCounts(list)
 	if !ok {
-		os.Exit(2)
+		exit(2)
 	}
 	cfg := experiments.ScalingConfig{
 		NodeCounts: counts,
@@ -564,7 +575,7 @@ func runCCSweep(list string, flows int, drop float64, gcfg graph.GeometricConfig
 	proto experiments.Protocol, opts experiments.Options, jsonOut bool) bool {
 	counts, ok := parseCounts(list)
 	if !ok {
-		os.Exit(2)
+		exit(2)
 	}
 	grid := experiments.CCSweep(experiments.CCSweepConfig{
 		Scaling: experiments.ScalingConfig{
@@ -663,6 +674,56 @@ func compareAll(topo *graph.Topology, src, dst graph.NodeID, opts experiments.Op
 	return allDone
 }
 
+// stopProfiles finishes the profiles startProfiles began; every way out of
+// main runs it, through exit or main's deferred call.
+var stopProfiles = func() {}
+
+// exit ends the process with code after writing any requested profiles.
+func exit(code int) {
+	stopProfiles()
+	os.Exit(code)
+}
+
+// startProfiles starts the -cpuprofile CPU profile now and arranges for
+// stopProfiles to end it and to write the -memprofile heap profile. Empty
+// paths skip the corresponding profile.
+func startProfiles(cpuPath, memPath string) {
+	var cpu *os.File
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "-cpuprofile: %v\n", err)
+			os.Exit(2)
+		}
+		cpu = f
+	}
+	stopProfiles = func() {
+		stopProfiles = func() {}
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "-cpuprofile: %v\n", err)
+			}
+		}
+		if memPath != "" {
+			runtime.GC() // settle the heap so in-use figures are current
+			f, err := os.Create(memPath)
+			if err == nil {
+				err = pprof.WriteHeapProfile(f)
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+			}
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "-memprofile: %v\n", err)
+			}
+		}
+	}
+}
+
 // telemetryCLI groups the observability flag surface: where to write the
 // metrics report and Chrome trace, the per-packet deadline, and the
 // heartbeat period.
@@ -698,9 +759,11 @@ func (tc telemetryCLI) newHub() *telemetry.Hub {
 }
 
 // startProgress launches the stderr heartbeat goroutine and returns its
-// stop function. The hub's atomic counters are the only shared state, so
-// reading them mid-run is safe; the simulated clock of the last event is
-// the best liveness signal a single-threaded simulation can offer.
+// stop function. The hub's atomic counters and the simulator's processed
+// count (Hub.Processed) are the only shared state, so reading them mid-run
+// is safe. Events processed per second is the event loop's throughput; the
+// simulated clock of the last telemetry event is the best liveness signal a
+// single-threaded simulation can offer.
 func (tc telemetryCLI) startProgress(hub *telemetry.Hub) func() {
 	if tc.progressS <= 0 || hub == nil {
 		return func() {}
@@ -717,8 +780,11 @@ func (tc telemetryCLI) startProgress(hub *telemetry.Hub) func() {
 			case <-stop:
 				return
 			case <-tick.C:
-				fmt.Fprintf(os.Stderr, "moresim: %v elapsed, %d events, sim clock %v\n",
-					time.Since(start).Round(time.Second), hub.Events(), sim.Time(hub.LastAt()))
+				elapsed := time.Since(start)
+				processed := hub.Processed()
+				fmt.Fprintf(os.Stderr, "moresim: %v elapsed, %d events processed (%.0f/s), %d telemetry events, sim clock %v\n",
+					elapsed.Round(time.Second), processed, float64(processed)/elapsed.Seconds(),
+					hub.Events(), sim.Time(hub.LastAt()))
 			}
 		}
 	}()

@@ -395,7 +395,7 @@ type Layer struct {
 	enqAt map[*sim.Frame]int64
 
 	// wakeEv is the scheduled self-wake releasing gated traffic.
-	wakeEv *sim.Event
+	wakeEv sim.Timer
 	wakeAt sim.Time
 
 	// Stats is the layer's accounting; read it after the run.
@@ -756,19 +756,14 @@ func (l *Layer) Sent(f *sim.Frame, ok bool) {
 // ensureWake guarantees the node re-pulls no later than at, so gated
 // traffic cannot sleep forever.
 func (l *Layer) ensureWake(at sim.Time) {
-	if l.wakeEv != nil && l.wakeAt <= at && l.wakeAt > l.node.Now() {
+	if l.wakeEv.Pending() && l.wakeAt <= at && l.wakeAt > l.node.Now() {
 		return
 	}
-	if l.wakeEv != nil {
-		l.wakeEv.Cancel()
-	}
+	l.wakeEv.Cancel()
 	delay := at - l.node.Now()
 	if delay < 0 {
 		delay = 0
 	}
 	l.wakeAt = at
-	l.wakeEv = l.node.After(delay, func() {
-		l.wakeEv = nil
-		l.node.Wake()
-	})
+	l.wakeEv = l.node.After(delay, l.node.Wake)
 }

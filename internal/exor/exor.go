@@ -182,8 +182,8 @@ type exorFlow struct {
 	doneSent  bool
 
 	// Scheduling.
-	turnTimer  *sim.Event
-	watchdog   *sim.Event
+	turnTimer  sim.Timer
+	watchdog   sim.Timer
 	inTurn     bool
 	fragQueue  []int
 	gossipLeft int // map-only packets still to send this turn
@@ -407,9 +407,7 @@ func (n *Node) armTurn(f *exorFlow, senderPrio, fragRemaining int) {
 		}
 		wait += sim.Time(held+1) * n.pktTime()
 	}
-	if f.turnTimer != nil {
-		f.turnTimer.Cancel()
-	}
+	f.turnTimer.Cancel()
 	f.turnTimer = n.node.After(wait, func() { n.takeTurn(f) })
 	n.armWatchdog(f)
 }
@@ -417,9 +415,7 @@ func (n *Node) armTurn(f *exorFlow, senderPrio, fragRemaining int) {
 // armWatchdog guarantees liveness: if the flow goes silent with the batch
 // incomplete, the node re-enters the schedule (staggered by priority).
 func (n *Node) armWatchdog(f *exorFlow) {
-	if f.watchdog != nil {
-		f.watchdog.Cancel()
-	}
+	f.watchdog.Cancel()
 	quiet := sim.Time(f.k+2*len(f.prio)+2)*n.pktTime() + sim.Time(f.myPrio+1)*n.pktTime()
 	f.watchdog = n.node.After(quiet, func() {
 		if !n.batchDone(f) {
@@ -783,12 +779,8 @@ func (n *Node) onBatchDone(f *exorFlow) {
 	// DoneMsg round trip) arrives.
 	f.inTurn = false
 	f.fragQueue = nil
-	if f.turnTimer != nil {
-		f.turnTimer.Cancel()
-	}
-	if f.watchdog != nil {
-		f.watchdog.Cancel()
-	}
+	f.turnTimer.Cancel()
+	f.watchdog.Cancel()
 }
 
 // HasControl reports whether hop-by-hop control traffic (cleanup, done

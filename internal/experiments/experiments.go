@@ -720,6 +720,9 @@ func RunDetailed(topo *graph.Topology, proto Protocol, pairs []Pair, opts Option
 	}
 	if opts.Telemetry != nil {
 		s.Telem = opts.Telemetry
+		if h, ok := opts.Telemetry.(*telemetry.Hub); ok {
+			h.CountEvents(s.Processed)
+		}
 	}
 	cp := NewControlPlane(topo, opts)
 	remaining := len(pairs)

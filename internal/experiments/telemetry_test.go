@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -37,6 +38,45 @@ func TestTelemetryObservationOnly(t *testing.T) {
 	}
 	if hub.Events() == 0 {
 		t.Fatal("hub saw no events")
+	}
+}
+
+// TestHubProcessedLive: the hub reports the attached simulator's fired-event
+// count, and a heartbeat goroutine may poll it while the run is going (the
+// race detector checks that interleaving). Reads never go backwards.
+func TestHubProcessedLive(t *testing.T) {
+	topo := TestbedTopology()
+	opts := DefaultOptions()
+	opts.FileBytes = 64 << 10
+	hub := telemetry.NewHub(telemetry.Config{})
+	opts.Telemetry = hub
+
+	stop := make(chan struct{})
+	polled := make(chan error)
+	go func() {
+		var last int64
+		for {
+			select {
+			case <-stop:
+				polled <- nil
+				return
+			default:
+			}
+			n := hub.Processed()
+			if n < last {
+				polled <- fmt.Errorf("Processed went backwards: %d after %d", n, last)
+				return
+			}
+			last = n
+		}
+	}()
+	RunDetailed(topo, MORE, []Pair{{Src: 0, Dst: 19}}, opts)
+	close(stop)
+	if err := <-polled; err != nil {
+		t.Fatal(err)
+	}
+	if hub.Processed() == 0 {
+		t.Fatal("hub reports no processed events after a run")
 	}
 }
 

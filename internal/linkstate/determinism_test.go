@@ -33,17 +33,15 @@ func install(a *Agent, order []graph.NodeID) {
 		}
 		a.accept(lsa)
 		if origin%2 == 1 {
-			a.receivedAt[origin] = -11 * sim.Second // stale: expired at now=0
+			a.origins[origin].at = -11 * sim.Second // stale: expired at now=0
 		}
 	}
 }
 
-// TestExpireAndTopologyAreOrderIndependent: expire() deletes during map
-// iteration and Topology() rebuilds from map iteration — Go randomizes both
-// orders, so every observable (database contents, counters, version, the
-// rebuilt graph) must come out identical regardless of insertion order and
-// across repeated runs. The srcr map-iteration bug of PR 5 has siblings;
-// this pins the two in linkstate.
+// TestExpireAndTopologyAreOrderIndependent: expire() purges and Topology()
+// rebuilds by walking the database, so every observable (database contents,
+// counters, version, the rebuilt graph) must come out identical regardless
+// of the order LSAs were installed in and across repeated runs.
 func TestExpireAndTopologyAreOrderIndependent(t *testing.T) {
 	const n = 24
 	forward := make([]graph.NodeID, n)
@@ -52,7 +50,7 @@ func TestExpireAndTopologyAreOrderIndependent(t *testing.T) {
 		forward[i] = graph.NodeID(i)
 		reverse[i] = graph.NodeID(n - 1 - i)
 	}
-	// Repeat to stress map-iteration randomization.
+	// Repeat: a hidden dependence on iteration order would show as flakiness.
 	for trial := 0; trial < 8; trial++ {
 		a := mkAgent(n)
 		b := mkAgent(n)
@@ -67,11 +65,11 @@ func TestExpireAndTopologyAreOrderIndependent(t *testing.T) {
 		if a.version-va != b.version-vb {
 			t.Fatalf("version delta diverged: %d vs %d", a.version-va, b.version-vb)
 		}
-		if len(a.db) != len(b.db) {
-			t.Fatalf("database size diverged: %d vs %d", len(a.db), len(b.db))
+		if a.KnownOrigins() != b.KnownOrigins() {
+			t.Fatalf("database size diverged: %d vs %d", a.KnownOrigins(), b.KnownOrigins())
 		}
-		for origin := range a.db {
-			if _, ok := b.db[origin]; !ok {
+		for origin := graph.NodeID(0); origin < n; origin++ {
+			if a.Knows(origin) != b.Knows(origin) {
 				t.Fatalf("origin %d survived in one database only", origin)
 			}
 		}

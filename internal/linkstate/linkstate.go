@@ -108,11 +108,16 @@ type Agent struct {
 	seq        uint32
 	pendingAdv []pendingLSA // own advertisement awaiting transmission
 	pendingFwd []pendingLSA // LSAs to rebroadcast
-	latestSeq  map[graph.NodeID]uint32
-	db         map[graph.NodeID]*packet.LSA
-	// receivedAt[origin] is when origin's current database entry was
-	// installed (aging input for MaxAge).
-	receivedAt map[graph.NodeID]sim.Time
+	// The LSA database, indexed by origin NodeID. It is sized on the first
+	// accept, never in NewAgent, so building n agents costs O(n) rather
+	// than O(n²) before the run starts. Most received LSAs are duplicates,
+	// so the sequence check reads a dense array of its own, 8 bytes per
+	// origin: seqs[o] is seqValid|(newest sequence accepted from o), or 0
+	// before the first. It survives aging (anti-replay). origins[o] holds
+	// the entry itself, and known counts the origins holding one.
+	seqs    []uint64
+	origins []originState
+	known   int
 
 	// Damping state: the estimates as last flooded, and when.
 	lastAdv    map[graph.NodeID]float64
@@ -153,6 +158,15 @@ type Agent struct {
 	FloodTx int64
 }
 
+// originState is one origin's entry in the LSA database.
+type originState struct {
+	lsa *packet.LSA // current entry; nil if never installed or aged out
+	at  sim.Time    // when lsa was installed (aging input for MaxAge)
+}
+
+// seqValid marks a seqs slot that holds a sequence.
+const seqValid = 1 << 32
+
 // pendingLSA is an LSA queued for transmission. due is when a dedicated
 // flood becomes allowed: zero (the non-piggyback default) means immediately;
 // with piggybacking on, the LSA waits for a data-frame ride until due.
@@ -181,15 +195,7 @@ func NewAgent(cfg Config, n int) *Agent {
 	if cfg.Piggyback && cfg.PiggybackDelay == 0 {
 		cfg.PiggybackDelay = cfg.AdvertiseInterval / 2
 	}
-	return &Agent{
-		cfg:        cfg,
-		n:          n,
-		prober:     probe.NewProber(cfg.Probe),
-		latestSeq:  make(map[graph.NodeID]uint32),
-		db:         make(map[graph.NodeID]*packet.LSA),
-		receivedAt: make(map[graph.NodeID]sim.Time),
-		lastAdv:    make(map[graph.NodeID]float64),
-	}
+	return &Agent{cfg: cfg, n: n, prober: probe.NewProber(cfg.Probe)}
 }
 
 // Init implements sim.Protocol.
@@ -222,12 +228,13 @@ func (a *Agent) scheduleExpiry() {
 // state survives the purge so only a genuinely fresher flood — the reborn
 // origin's own, whose sequence kept advancing — re-installs an origin.
 func (a *Agent) expire() {
-	for origin, at := range a.receivedAt {
-		if origin == a.node.ID() || a.node.Now()-at < a.cfg.MaxAge {
+	for i := range a.origins {
+		o := &a.origins[i]
+		if o.lsa == nil || graph.NodeID(i) == a.node.ID() || a.node.Now()-o.at < a.cfg.MaxAge {
 			continue
 		}
-		delete(a.db, origin)
-		delete(a.receivedAt, origin)
+		o.lsa = nil
+		a.known--
 		a.ExpiredLSAs++
 		a.version++
 	}
@@ -388,13 +395,22 @@ func serialNewer(a, b uint32) bool {
 
 // accept installs an LSA in the local database if it is new.
 func (a *Agent) accept(l *packet.LSA) bool {
-	if last, ok := a.latestSeq[l.Origin]; ok && !serialNewer(l.Seq, last) {
+	if a.seqs == nil {
+		a.seqs = make([]uint64, a.n)
+		a.origins = make([]originState, a.n)
+	}
+	seq := &a.seqs[l.Origin]
+	if *seq != 0 && !serialNewer(l.Seq, uint32(*seq)) {
 		return false
 	}
-	a.latestSeq[l.Origin] = l.Seq
-	a.db[l.Origin] = l
+	*seq = seqValid | uint64(l.Seq)
+	o := &a.origins[l.Origin]
+	if o.lsa == nil {
+		a.known++
+	}
+	o.lsa = l
 	if a.node != nil { // tests drive accept without a simulated node
-		a.receivedAt[l.Origin] = a.node.Now()
+		o.at = a.node.Now()
 	}
 	a.version++
 	return true
@@ -424,10 +440,22 @@ func (a *Agent) SetLoadFunc(f func() uint8) { a.loadFunc = f }
 // LoadOf returns the quantized load this agent has heard for origin (its
 // latest LSA's load byte), or 0 if unknown.
 func (a *Agent) LoadOf(origin graph.NodeID) uint8 {
-	if lsa, ok := a.db[origin]; ok {
+	if lsa := a.entry(origin); lsa != nil {
 		return lsa.Load
 	}
 	return 0
+}
+
+// latestSeq returns the newest sequence accepted from origin, or 0 if none
+// was. The agent must have accepted an LSA already.
+func (a *Agent) latestSeq(origin graph.NodeID) uint32 { return uint32(a.seqs[origin]) }
+
+// entry returns origin's current LSA, or nil if none is held.
+func (a *Agent) entry(origin graph.NodeID) *packet.LSA {
+	if int(origin) >= len(a.origins) {
+		return nil
+	}
+	return a.origins[origin].lsa
 }
 
 // Version counts LSA database changes (see View).
@@ -479,7 +507,7 @@ func (a *Agent) handleLSA(m *packet.LSA) {
 	}
 	a.node.After(delay, func() {
 		// Only flood if still the freshest we know.
-		if a.latestSeq[fwd.Origin] == fwd.Seq {
+		if a.latestSeq(fwd.Origin) == fwd.Seq {
 			a.pendingFwd = append(a.pendingFwd, pendingLSA{lsa: fwd, due: a.holdUntil()})
 			a.node.Wake()
 		}
@@ -560,21 +588,22 @@ func (a *Agent) Sent(f *sim.Frame, ok bool) {
 
 // KnownOrigins returns how many nodes' LSAs this agent holds (including
 // its own).
-func (a *Agent) KnownOrigins() int { return len(a.db) }
+func (a *Agent) KnownOrigins() int { return a.known }
 
 // Knows reports whether this agent currently holds an LSA from origin —
 // false once aging has purged a dead origin, true again after its reborn
 // flood lands. Reconvergence measurements poll it.
-func (a *Agent) Knows(origin graph.NodeID) bool {
-	_, ok := a.db[origin]
-	return ok
-}
+func (a *Agent) Knows(origin graph.NodeID) bool { return a.entry(origin) != nil }
 
 // Topology reconstructs this node's local view of the loss-annotated
 // network graph from its LSA database. Unknown links are 0.
 func (a *Agent) Topology() *graph.Topology {
 	t := graph.New(a.n)
-	for origin, lsa := range a.db {
+	for o := range a.origins {
+		lsa, origin := a.origins[o].lsa, graph.NodeID(o)
+		if lsa == nil {
+			continue
+		}
 		for i, nb := range lsa.Neighbors {
 			// LSA reports delivery of nb -> origin.
 			t.SetDirected(nb, origin, packet.UnquantizeProb(lsa.Probs[i]))

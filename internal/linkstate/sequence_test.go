@@ -53,7 +53,7 @@ func TestAcceptSurvivesSequenceWraparound(t *testing.T) {
 	if a.accept(&packet.LSA{Origin: 1, Seq: 1}) {
 		t.Fatal("duplicate sequence accepted")
 	}
-	if got := a.latestSeq[1]; got != 1 {
+	if got := a.latestSeq(1); got != 1 {
 		t.Fatalf("latestSeq = %d, want 1", got)
 	}
 }

@@ -41,6 +41,7 @@ func RunWith(spec *Spec, hub *telemetry.Hub) (*Result, error) {
 	s := sim.New(topo, opts.SimConfig())
 	if hub != nil {
 		s.Telem = hub
+		hub.CountEvents(s.Processed)
 	}
 	cp := experiments.NewControlPlane(topo, opts)
 	n := topo.N()

@@ -26,15 +26,19 @@ type mac struct {
 	cw           int // current contention window (slots)
 	backoffSlots int // remaining backoff slots
 	backoffArmed bool
-	difsTimer    *Event
-	backoffTimer *Event
+	difsTimer    Timer
+	backoffTimer Timer
 	backoffStart Time
 
 	// Frame in progress.
 	cur      *Frame
 	retries  int
-	ackTimer *Event
+	ackTimer Timer
 	onAir    int // own transmissions currently in flight
+
+	// Timer callbacks, bound once: a method value taken at each arm would
+	// allocate a fresh closure per timer.
+	difsFn, backoffFn, ackFn func()
 
 	// MAC sequence numbers and duplicate suppression. seen is bounded by
 	// the configured DupWindow: seenRing remembers insertion order and the
@@ -50,11 +54,13 @@ type mac struct {
 }
 
 func newMAC(n *Node) *mac {
-	return &mac{
+	m := &mac{
 		node: n,
 		cw:   n.sim.cfg.CWMin,
 		seen: make(map[uint64]struct{}),
 	}
+	m.difsFn, m.backoffFn, m.ackFn = m.difsDone, m.backoffDone, m.ackTimeout
+	return m
 }
 
 // recordSeen marks key as delivered, evicting the oldest remembered key
@@ -88,18 +94,9 @@ func (m *mac) wake() {
 // parks idle. Carrier-sense bookkeeping keeps running so the busy count
 // stays balanced with neighbors' transmissions.
 func (m *mac) silence() {
-	if m.difsTimer != nil {
-		m.difsTimer.Cancel()
-		m.difsTimer = nil
-	}
-	if m.backoffTimer != nil {
-		m.backoffTimer.Cancel()
-		m.backoffTimer = nil
-	}
-	if m.ackTimer != nil {
-		m.ackTimer.Cancel()
-		m.ackTimer = nil
-	}
+	m.difsTimer.Cancel()
+	m.backoffTimer.Cancel()
+	m.ackTimer.Cancel()
 	m.cur = nil
 	m.backlogged = false
 	m.backoffArmed = false
@@ -140,14 +137,11 @@ func (m *mac) startContention() {
 }
 
 func (m *mac) armDIFS() {
-	if m.difsTimer != nil {
-		m.difsTimer.Cancel()
-	}
-	m.difsTimer = m.node.sim.After(m.node.sim.cfg.DIFS, m.difsDone)
+	m.difsTimer.Cancel()
+	m.difsTimer = m.node.sim.After(m.node.sim.cfg.DIFS, m.difsFn)
 }
 
 func (m *mac) difsDone() {
-	m.difsTimer = nil
 	if m.state != macContending || m.busy > 0 {
 		return
 	}
@@ -157,11 +151,10 @@ func (m *mac) difsDone() {
 	}
 	m.backoffStart = m.node.sim.now
 	dur := Time(m.backoffSlots) * m.node.sim.cfg.SlotTime
-	m.backoffTimer = m.node.sim.After(dur, m.backoffDone)
+	m.backoffTimer = m.node.sim.After(dur, m.backoffFn)
 }
 
 func (m *mac) backoffDone() {
-	m.backoffTimer = nil
 	if m.state != macContending {
 		return
 	}
@@ -176,11 +169,8 @@ func (m *mac) carrierUp() {
 	if m.busy != 1 {
 		return
 	}
-	if m.difsTimer != nil {
-		m.difsTimer.Cancel()
-		m.difsTimer = nil
-	}
-	if m.backoffTimer != nil {
+	m.difsTimer.Cancel()
+	if m.backoffTimer.Pending() {
 		// Freeze: credit fully elapsed slots.
 		elapsed := int((m.node.sim.now - m.backoffStart) / m.node.sim.cfg.SlotTime)
 		if elapsed > m.backoffSlots {
@@ -188,7 +178,6 @@ func (m *mac) carrierUp() {
 		}
 		m.backoffSlots -= elapsed
 		m.backoffTimer.Cancel()
-		m.backoffTimer = nil
 	}
 }
 
@@ -243,11 +232,10 @@ func (m *mac) txFinished(tx *transmission) {
 	m.state = macWaitAck
 	cfg := m.node.sim.cfg
 	timeout := cfg.SIFS + AirTime(cfg.MACAckBytes, cfg.BasicRate) + 2*cfg.SlotTime
-	m.ackTimer = m.node.sim.After(timeout, m.ackTimeout)
+	m.ackTimer = m.node.sim.After(timeout, m.ackFn)
 }
 
 func (m *mac) ackTimeout() {
-	m.ackTimer = nil
 	if m.state != macWaitAck {
 		return
 	}
@@ -296,10 +284,7 @@ func (m *mac) deliver(tx *transmission) {
 	f := tx.frame
 	if f.isMACAck {
 		if m.state == macWaitAck && f.To == m.node.id && f.ackFor.frame == m.cur {
-			if m.ackTimer != nil {
-				m.ackTimer.Cancel()
-				m.ackTimer = nil
-			}
+			m.ackTimer.Cancel()
 			cur := m.cur
 			cur.Retries = m.retries
 			m.cur = nil

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,15 +9,15 @@ import (
 )
 
 func TestEventHeapOrdering(t *testing.T) {
-	var h eventHeap
+	var h eventQueue
 	times := []Time{5, 1, 3, 1, 9, 2}
 	for i, at := range times {
-		heap.Push(&h, &Event{at: at, seq: uint64(i)})
+		h.push(entry{at: at, seq: uint64(i), e: &event{}})
 	}
 	var out []Time
 	var seqs []uint64
-	for h.Len() > 0 {
-		e := heap.Pop(&h).(*Event)
+	for len(h) > 0 {
+		e := h.pop()
 		out = append(out, e.at)
 		seqs = append(seqs, e.seq)
 	}
@@ -34,13 +33,13 @@ func TestEventHeapOrdering(t *testing.T) {
 
 func TestEventHeapQuickOrdering(t *testing.T) {
 	f := func(raw []uint16) bool {
-		var h eventHeap
+		var h eventQueue
 		for i, v := range raw {
-			heap.Push(&h, &Event{at: Time(v), seq: uint64(i)})
+			h.push(entry{at: Time(v), seq: uint64(i), e: &event{}})
 		}
 		prev := Time(-1)
-		for h.Len() > 0 {
-			e := heap.Pop(&h).(*Event)
+		for len(h) > 0 {
+			e := h.pop()
 			if e.at < prev {
 				return false
 			}
@@ -64,22 +63,29 @@ func TestCanceledEventDoesNotFire(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	var nilEv *Event
-	nilEv.Cancel() // nil-safe
+	var zero Timer
+	zero.Cancel() // the zero handle is safe
 }
 
 func TestScheduleInPastClamps(t *testing.T) {
 	topo := graph.New(1)
 	s := New(topo, DefaultConfig())
+	fired := false
 	s.After(Millisecond, func() {
 		// Scheduling with zero delay from inside an event must fire at the
 		// current time, not before it.
-		ev := s.After(0, func() {})
-		if ev.At() < s.Now() {
-			t.Errorf("event scheduled in the past: %v < %v", ev.At(), s.Now())
-		}
+		at := s.Now()
+		s.After(0, func() {
+			fired = true
+			if s.Now() < at {
+				t.Errorf("event scheduled in the past: %v < %v", s.Now(), at)
+			}
+		})
 	})
 	s.Run(Second)
+	if !fired {
+		t.Fatal("zero-delay event never fired")
+	}
 }
 
 func TestBackoffFreezeAndResume(t *testing.T) {

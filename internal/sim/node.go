@@ -73,8 +73,8 @@ func (n *Node) Now() Time { return n.sim.now }
 // Rand returns the deterministic simulation RNG.
 func (n *Node) Rand() *rand.Rand { return n.sim.rng }
 
-// After schedules fn after delay; the returned event can be canceled.
-func (n *Node) After(delay Time, fn func()) *Event { return n.sim.After(delay, fn) }
+// After schedules fn after delay and returns a handle that can cancel it.
+func (n *Node) After(delay Time, fn func()) Timer { return n.sim.After(delay, fn) }
 
 // Wake tells the MAC the protocol has traffic; the MAC will contend for the
 // medium and eventually call Pull. Failed nodes ignore wakes.

@@ -1,10 +1,10 @@
 package sim
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/telemetry"
@@ -180,13 +180,17 @@ type Simulator struct {
 	topo  *graph.Topology
 	now   Time
 	seq   uint64
-	queue eventHeap
+	queue eventQueue
 	rng   *rand.Rand
 	nodes []*Node
 
-	// canceledInQueue counts canceled events still sitting in the heap;
-	// when they outnumber live ones the heap is compacted (see event.go).
-	canceledInQueue int
+	// free heads the list of event slots that left the queue, reused by
+	// the next schedule so the steady state allocates none (see event.go).
+	free *event
+
+	// processed counts events fired. It is atomic so a progress reporter
+	// on another goroutine may read it mid-run.
+	processed atomic.Int64
 
 	// senseSet[i] lists the nodes (including i itself) whose carrier sense
 	// detects a transmission by i, sorted ascending. Precomputed from the
@@ -415,17 +419,15 @@ func (s *Simulator) Run(until Time) Time {
 // or cond (if non-nil) returns false. cond is checked after every event.
 func (s *Simulator) RunWhile(until Time, cond func() bool) Time {
 	for len(s.queue) > 0 {
-		e := s.queue[0]
-		if e.at > until {
+		if s.queue[0].at > until {
 			break
 		}
-		heap.Pop(&s.queue)
-		if e.canceled {
-			s.canceledInQueue--
-			continue
-		}
-		s.now = e.at
-		e.fn()
+		x := s.queue.pop()
+		fn := x.e.fn
+		s.release(x.e) // before fn runs, so fn's own schedules can reuse it
+		s.now = x.at
+		s.processed.Add(1)
+		fn()
 		if cond != nil && !cond() {
 			break
 		}
@@ -436,8 +438,15 @@ func (s *Simulator) RunWhile(until Time, cond func() bool) Time {
 	return s.now
 }
 
-// Pending reports how many live (non-canceled) events are queued.
-func (s *Simulator) Pending() int { return len(s.queue) - s.canceledInQueue }
+// Pending reports how many events are queued. Canceled events leave the
+// queue at once, so every queued event is live.
+func (s *Simulator) Pending() int { return len(s.queue) }
+
+// Processed reports how many events have fired so far; canceled events are
+// not counted. It is a host-side work count, deliberately outside Counters,
+// so result documents and their digests do not carry it. Safe to call from
+// another goroutine (progress heartbeats).
+func (s *Simulator) Processed() int64 { return s.processed.Load() }
 
 func (s *Simulator) tracef(format string, args ...interface{}) {
 	if s.Trace != nil {

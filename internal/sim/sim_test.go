@@ -341,18 +341,22 @@ func TestTimersAndCancel(t *testing.T) {
 	p := &testProto{}
 	s.Attach(0, p)
 	fired := 0
-	ev1 := s.Node(0).After(Millisecond, func() { fired++ })
+	var firedAt Time
+	ev1 := s.Node(0).After(Millisecond, func() { fired++; firedAt = s.Now() })
 	ev2 := s.Node(0).After(2*Millisecond, func() { fired += 10 })
 	ev2.Cancel()
-	if !ev2.Canceled() || ev1.Canceled() {
+	if ev2.Pending() || !ev1.Pending() {
 		t.Fatal("cancel state wrong")
 	}
 	s.Run(Second)
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
 	}
-	if ev1.At() != Millisecond {
-		t.Fatalf("event time %v", ev1.At())
+	if ev1.Pending() {
+		t.Fatal("fired event still pending")
+	}
+	if firedAt != Millisecond {
+		t.Fatalf("event time %v", firedAt)
 	}
 }
 

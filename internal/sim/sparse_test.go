@@ -80,7 +80,7 @@ func TestGeometricTopologyRuns(t *testing.T) {
 
 func TestPendingCountsLiveEvents(t *testing.T) {
 	s := New(graph.New(1), DefaultConfig())
-	var evs []*Event
+	var evs []Timer
 	for i := 0; i < 10; i++ {
 		evs = append(evs, s.After(Time(i+1)*Millisecond, func() {}))
 	}
@@ -108,9 +108,10 @@ func TestPendingCountsLiveEvents(t *testing.T) {
 // pattern of long multi-flow runs, where every delivered frame leaves a
 // canceled retransmit timer behind — and checks the heap shrinks instead of
 // growing without bound, while survivors still fire in schedule order.
+// Cancel removes an event at once, so the queue holds exactly the live ones.
 func TestHeapCompaction(t *testing.T) {
 	s := New(graph.New(1), DefaultConfig())
-	const total = 16 * compactionFloor
+	const total = 1024
 	fired := make([]bool, total)
 	var order []int
 	liveCount := 0
@@ -125,9 +126,8 @@ func TestHeapCompaction(t *testing.T) {
 			liveCount++
 		}
 	}
-	// Compaction must have kicked in: dead entries never outnumber live
-	// ones by more than the compaction floor's worth of slack.
-	if len(s.queue) > 2*(liveCount+compactionFloor) {
+	// No dead entry may linger in the queue.
+	if len(s.queue) != liveCount {
 		t.Fatalf("queue holds %d entries for %d live events — not compacted",
 			len(s.queue), liveCount)
 	}
@@ -140,8 +140,8 @@ func TestHeapCompaction(t *testing.T) {
 			t.Fatalf("event %d fired=%v, want %v", i, fired[i], want)
 		}
 	}
-	// Survivors fire in (time, insertion) order — exactly the order lazy
-	// deletion would have produced.
+	// Survivors fire in (time, insertion) order — exactly the order they
+	// would have fired in had nothing been canceled.
 	for k := 1; k < len(order); k++ {
 		ta, tb := order[k-1]%7, order[k]%7
 		if ta > tb || (ta == tb && order[k-1] > order[k]) {

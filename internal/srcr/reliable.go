@@ -126,10 +126,7 @@ func (n *Node) receiveNack(fr *sim.Frame, m *NackMsg) {
 	if !ok || st.done || m.Pass != st.pass {
 		return
 	}
-	if st.finTimer != nil {
-		st.finTimer.Cancel()
-		st.finTimer = nil
-	}
+	st.finTimer.Cancel()
 	st.awaitingNack = false
 	st.finRetries = 0
 	if len(m.Missing) == 0 {
@@ -168,9 +165,7 @@ func (n *Node) finishPass(st *sourceState) {
 	st.awaitingNack = true
 	fin := &FinMsg{Flow: st.id, Pass: st.pass, Target: st.route[len(st.route)-1], Source: n.node.ID()}
 	n.queueControl(fin, fin.Target)
-	if st.finTimer != nil {
-		st.finTimer.Cancel()
-	}
+	st.finTimer.Cancel()
 	st.finTimer = n.node.After(nackTimeout, func() {
 		if st.done || !st.awaitingNack {
 			return

@@ -107,7 +107,7 @@ type sourceState struct {
 	pending      []int // sequence numbers still to (re)send this pass
 	pass         int
 	awaitingNack bool
-	finTimer     *sim.Event
+	finTimer     sim.Timer
 	// finRetries counts consecutive unanswered FIN timeouts; repair fires
 	// once they span RepairInterval.
 	finRetries int

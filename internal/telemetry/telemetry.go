@@ -218,6 +218,9 @@ type Hub struct {
 
 	events atomic.Int64
 	lastAt atomic.Int64
+	// processed reads the attached event loop's fired-event count. It is
+	// installed after a heartbeat may already be polling, hence atomic.
+	processed atomic.Pointer[func() int64]
 
 	metrics metricsState
 	rec     recorderState
@@ -251,6 +254,19 @@ func (h *Hub) Events() int64 { return h.events.Load() }
 // LastAt returns the simulated timestamp (ns) of the most recent event.
 // Safe to call from another goroutine.
 func (h *Hub) LastAt() int64 { return h.lastAt.Load() }
+
+// CountEvents installs the attached simulator's fired-event counter (a
+// func that is safe to call from any goroutine), which Processed reports.
+func (h *Hub) CountEvents(processed func() int64) { h.processed.Store(&processed) }
+
+// Processed returns the attached simulator's fired-event count, or 0 when
+// none was installed with CountEvents. Safe to call from another goroutine.
+func (h *Hub) Processed() int64 {
+	if f := h.processed.Load(); f != nil {
+		return (*f)()
+	}
+	return 0
+}
 
 // Emit implements Sink.
 func (h *Hub) Emit(ev Event) {
