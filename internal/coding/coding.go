@@ -174,9 +174,12 @@ type Buffer struct {
 	pool *Pool   // optional; recycles rejected and flushed packets
 
 	// Reusable scratch so the steady state allocates nothing.
-	innovScratch []byte
+	innovScratch []byte  // the reduced code vector
+	hitRows      []uint8 // rows an elimination subtracted, in order
+	hitCoefs     []byte  // the coefficient applied at each hit row
 	coefScratch  []byte
 	payScratch   [][]byte
+	spare        []byte // Add's payload buffer, allocated on first use
 	kern         *gf256.Kernel
 }
 
@@ -187,15 +190,17 @@ func NewBuffer(k, size int) *Buffer {
 		size:         size,
 		rows:         make([]*Packet, k),
 		innovScratch: make([]byte, k),
+		hitRows:      make([]uint8, 0, k),
+		hitCoefs:     make([]byte, 0, k),
 		coefScratch:  make([]byte, k),
 		payScratch:   make([][]byte, 0, k),
 		kern:         gf256.NewKernel(),
 	}
 }
 
-// UsePool attaches a packet pool: Recode draws from it, and Add and Reset
-// recycle rejected or flushed packets into it. The pool's shape must match
-// the buffer's.
+// UsePool attaches a packet pool: Recode and Admit draw from it, and Add
+// and Reset recycle consumed or flushed packets into it. The pool's shape
+// must match the buffer's.
 func (b *Buffer) UsePool(p *Pool) {
 	if p.K() != b.k || p.PayloadSize() != b.size {
 		panic("coding: Buffer.UsePool shape mismatch")
@@ -217,64 +222,109 @@ func (b *Buffer) Rank() int { return b.rank }
 // whole batch can be decoded.
 func (b *Buffer) Full() bool { return b.rank == b.k }
 
-// Innovative reports whether a packet with the given code vector would be
-// innovative (linearly independent of the stored packets) without modifying
-// the buffer. It runs the elimination on a scratch copy of the vector only —
-// checking for innovativeness never touches payload bytes (§3.2.3(b)).
-func (b *Buffer) Innovative(vector []byte) bool {
-	if len(vector) != b.k {
-		return false
-	}
+// eliminate reduces a copy of vector against the stored rows (Algorithm 2
+// on the code vector alone) and returns the index of the empty slot the
+// reduced vector lands in, or -1 when it reduces to zero. The reduced
+// vector is left in innovScratch, and hitRows/hitCoefs record, in order,
+// each stored row subtracted and the coefficient applied to it — exactly
+// the row operations the payload would need. vector must have length K.
+func (b *Buffer) eliminate(vector []byte) int {
 	u := b.innovScratch
 	copy(u, vector)
+	b.hitRows, b.hitCoefs = b.hitRows[:0], b.hitCoefs[:0]
 	for i := 0; i < b.k; i++ {
-		if u[i] == 0 {
+		c := u[i]
+		if c == 0 {
 			continue
 		}
 		if b.rows[i] == nil {
-			return true
+			return i
 		}
 		// u -= rows[i]*u[i]; both have zeros before i, so the suffix
 		// suffices.
-		gf256.MulAddSlice(u[i:], b.rows[i].Vector[i:], u[i])
+		gf256.MulAddSlice(u[i:], b.rows[i].Vector[i:], c)
+		b.hitRows = append(b.hitRows, uint8(i))
+		b.hitCoefs = append(b.hitCoefs, c)
 	}
-	return false
+	return -1
 }
 
-// Add runs Algorithm 2: it reduces the packet against the stored rows and,
-// if the result is nonzero, admits it into the empty slot it lands in and
-// returns true (rank increased). Non-innovative packets are discarded and
-// Add returns false. The packet is consumed either way: Add may modify it
-// in place, and with a pool attached a rejected packet is recycled.
+// Innovative reports whether a packet with the given code vector would be
+// innovative (linearly independent of the stored packets) without modifying
+// the buffer. Checking for innovativeness never touches payload bytes
+// (§3.2.3(b)).
+func (b *Buffer) Innovative(vector []byte) bool {
+	return len(vector) == b.k && b.eliminate(vector) >= 0
+}
+
+// Admit runs Algorithm 2 on a received packet without taking ownership of
+// it: p is only read, so it may be a frame shared by every node that
+// overheard it. The elimination runs over the code vector first. A
+// non-innovative packet stops there, and its payload is never read. An
+// innovative one becomes a new row in a pooled packet (see store). Admit
+// reports whether the rank grew.
+func (b *Buffer) Admit(p *Packet) bool {
+	if len(p.Vector) != b.k || len(p.Payload) != b.size {
+		return false
+	}
+	i := b.eliminate(p.Vector)
+	if i < 0 {
+		return false
+	}
+	var q *Packet
+	if b.pool != nil {
+		q = b.pool.Get()
+	} else {
+		q = &Packet{Vector: make([]byte, b.k), Payload: make([]byte, b.size)}
+	}
+	b.store(i, q, p.Payload, q.Payload)
+	return true
+}
+
+// Add is Admit for a packet the caller hands over: the buffer consumes p
+// either way. An innovative p becomes the stored row itself (its payload
+// is rebuilt in a spare buffer and the two swapped); a rejected one is
+// recycled when a pool is attached.
 func (b *Buffer) Add(p *Packet) bool {
 	if len(p.Vector) != b.k || len(p.Payload) != b.size {
 		return false
 	}
-	for i := 0; i < b.k; i++ {
-		c := p.Vector[i]
-		if c == 0 {
-			continue
+	i := b.eliminate(p.Vector)
+	if i < 0 {
+		if b.pool != nil {
+			b.pool.Put(p)
 		}
-		row := b.rows[i]
-		if row == nil {
-			// Admit: normalize the leading coefficient to 1.
-			inv := gf256.Inv(c)
-			gf256.ScaleSlice(p.Vector, inv)
-			gf256.ScaleSlice(p.Payload, inv)
-			b.rows[i] = p
-			b.last = p
-			b.rank++
-			return true
-		}
-		// p -= row * c (row's leading element is 1 at index i; vector
-		// prefixes before i are zero on both sides).
-		gf256.MulAddSlice(p.Vector[i:], row.Vector[i:], c)
-		gf256.MulAddSlice(p.Payload, row.Payload, c)
+		return false
 	}
-	if b.pool != nil {
-		b.pool.Put(p)
+	if b.spare == nil {
+		b.spare = make([]byte, b.size)
 	}
-	return false
+	b.store(i, p, p.Payload, b.spare)
+	p.Payload, b.spare = b.spare, p.Payload
+	return true
+}
+
+// store installs q as row i after an eliminate that landed there. The
+// vector is the reduced one normalized to a leading 1. The payload goes to
+// dst in one kernel pass over the received payload and every stored row
+// the elimination subtracted, each coefficient pre-multiplied by the
+// inverse pivot: GF(256) arithmetic is exact and XOR accumulation
+// commutes, so dst equals what reducing the payload row by row and then
+// scaling it would produce. dst must not alias payload or a stored row.
+func (b *Buffer) store(i int, q *Packet, payload, dst []byte) {
+	inv := gf256.Inv(b.innovScratch[i])
+	gf256.MulSlice(q.Vector, b.innovScratch, inv)
+	srcs := append(b.payScratch[:0], payload)
+	coefs := append(b.coefScratch[:0], inv)
+	for j, h := range b.hitRows {
+		srcs = append(srcs, b.rows[h].Payload)
+		coefs = append(coefs, gf256.Mul(inv, b.hitCoefs[j]))
+	}
+	b.kern.CombineInto(dst, srcs, coefs)
+	b.payScratch = srcs[:0]
+	b.rows[i] = q
+	b.last = q
+	b.rank++
 }
 
 // LastAdded returns the most recently admitted row (nil if none since the

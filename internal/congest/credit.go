@@ -44,17 +44,38 @@ func (g *CreditMsg) frame(from graph.NodeID) *sim.Frame {
 	return &sim.Frame{From: from, To: graph.Broadcast, Bytes: grantWireBytes, Payload: g}
 }
 
-// grantKey identifies a granter's latest word on a flow.
-type grantKey struct {
-	flow    uint32
+// grantInfo is the latest grant received from one granter on one flow,
+// with its downstream verdict cached against the forwarder list it was
+// last judged on: a flow's list changes only when its plan does, so the
+// verdict is computed once per granter per plan, not once per send.
+type grantInfo struct {
 	granter graph.NodeID
+	batch   uint32
+	needed  int
+	at      sim.Time
+	judged  fwdList // the list down was computed against
+	down    bool    // granterDownstream(granter) on judged
 }
 
-// grantInfo is the latest grant received from one granter.
-type grantInfo struct {
-	batch  uint32
-	needed int
-	at     sim.Time
+// fwdList is a forwarder list's identity: its base pointer and length.
+// Every plan builds a fresh slice and no one mutates a sent list, so equal
+// identity means equal contents; holding the pointer keeps the list alive,
+// so its address cannot be reused by another. A negative length marks a
+// list never judged. Within one flow the source and destinations — the
+// verdict's other inputs — are fixed, so the identity is the whole key.
+type fwdList struct {
+	base *core.FwdEntry
+	n    int
+}
+
+// unjudged is the identity no list has.
+var unjudged = fwdList{n: -1}
+
+func listOf(fwd []core.FwdEntry) fwdList {
+	if len(fwd) == 0 {
+		return fwdList{}
+	}
+	return fwdList{&fwd[0], len(fwd)}
 }
 
 // creditFlow is the sender-side gate state for one flow.
@@ -64,8 +85,10 @@ type creditFlow struct {
 	backoff   int      // consecutive probes without news (caps the interval)
 	// fwdSig fingerprints the forwarder set the gate's grants were collected
 	// against; route repair rewriting the set mid-batch resets the probe
-	// backoff (see creditFlowFor).
-	fwdSig uint64
+	// backoff (see creditFlowFor). sigList is the identity of the last list
+	// seen, so the fingerprint is recomputed only when the list changes.
+	fwdSig  uint64
+	sigList fwdList
 }
 
 // advertised is the granter-side memory of the last grant sent per flow.
@@ -77,14 +100,14 @@ type advertised struct {
 }
 
 type creditState struct {
-	grants map[grantKey]*grantInfo
+	grants map[uint32][]grantInfo // per flow, in first-heard order
 	flows  map[uint32]*creditFlow
 	adv    map[uint32]*advertised
 }
 
 func newCreditState() *creditState {
 	return &creditState{
-		grants: make(map[grantKey]*grantInfo),
+		grants: make(map[uint32][]grantInfo),
 		flows:  make(map[uint32]*creditFlow),
 		adv:    make(map[uint32]*advertised),
 	}
@@ -94,12 +117,16 @@ func newCreditState() *creditState {
 // traffic it ungates.
 func (l *Layer) acceptGrant(f *sim.Frame, g *CreditMsg) {
 	c := l.credit
-	key := grantKey{uint32(g.Flow), f.From}
-	gi, ok := c.grants[key]
-	if !ok {
-		gi = &grantInfo{}
-		c.grants[key] = gi
+	gs := c.grants[uint32(g.Flow)]
+	i := 0
+	for i < len(gs) && gs[i].granter != f.From {
+		i++
 	}
+	if i == len(gs) {
+		gs = append(gs, grantInfo{granter: f.From, judged: unjudged})
+		c.grants[uint32(g.Flow)] = gs
+	}
+	gi := &gs[i]
 	gi.batch, gi.needed, gi.at = g.Batch, g.Needed, l.node.Now()
 	if g.Needed > 0 {
 		// Fresh demand: reset the probe backoff so a re-opened gate reacts
@@ -218,10 +245,7 @@ func (l *Layer) creditFlowFor(info frameInfo) *creditFlow {
 	c := l.credit
 	cf, ok := c.flows[info.flow]
 	if !ok {
-		cf = &creditFlow{batch: info.batch}
-		if info.more != nil {
-			cf.fwdSig = fwdSignature(info.more)
-		}
+		cf = &creditFlow{batch: info.batch, sigList: unjudged}
 		c.flows[info.flow] = cf
 	}
 	if cf.batch != info.batch {
@@ -234,9 +258,12 @@ func (l *Layer) creditFlowFor(info frameInfo) *creditFlow {
 		// the new one, so drop it and re-probe within one GateTimeout.
 		// Without repair a set change implies a batch change, whose reset
 		// above makes this a no-op — legacy runs are byte-identical.
-		if sig := fwdSignature(info.more); sig != cf.fwdSig {
-			cf.fwdSig = sig
-			cf.backoff = 0
+		if list := listOf(info.more.Forwarders); list != cf.sigList {
+			cf.sigList = list
+			if sig := fwdSignature(info.more); sig != cf.fwdSig {
+				cf.fwdSig = sig
+				cf.backoff = 0
+			}
 		}
 	}
 	return cf
@@ -260,15 +287,27 @@ func fwdSignature(m *core.DataMsg) uint64 {
 // a neighborhood gone quiet) means transmit: a zero that is no longer
 // being restated by the traffic it suppresses has expired, and releasing
 // the flow beats stranding it on probe backoff.
+//
+// Only the frame's own flow is walked, and each granter's downstream
+// verdict is recomputed only when the frame carries a different forwarder
+// list than the one it was last judged on. The verdict does not depend on
+// the order the grants are walked in.
 func (l *Layer) creditSuppressed(info frameInfo) bool {
 	m := info.more
+	list := listOf(m.Forwarders)
 	horizon := l.node.Now() - l.cfg.GrantTTL
 	heard := false
-	for key, gi := range l.credit.grants {
-		if key.flow != info.flow || gi.batch != info.batch {
+	gs := l.credit.grants[info.flow]
+	for i := range gs {
+		gi := &gs[i]
+		if gi.batch != info.batch {
 			continue
 		}
-		if !l.granterDownstream(key.granter, m) {
+		if gi.judged != list {
+			gi.judged = list
+			gi.down = l.granterDownstream(gi.granter, m)
+		}
+		if !gi.down {
 			continue
 		}
 		if gi.needed > 0 {
@@ -351,16 +390,7 @@ func (l *Layer) senderUpstream(sender graph.NodeID, m *core.DataMsg) bool {
 	if sender == m.Src {
 		return true
 	}
-	me := l.node.ID()
-	myIdx, senderIdx := -1, -1
-	for i, e := range m.Forwarders {
-		if e.Node == me {
-			myIdx = i
-		}
-		if e.Node == sender {
-			senderIdx = i
-		}
-	}
+	myIdx, senderIdx := core.Positions(m.Forwarders, l.node.ID(), sender)
 	if myIdx < 0 {
 		// We are the destination (or a multicast destination): everyone in
 		// the list is upstream of us.
@@ -382,23 +412,10 @@ func (l *Layer) granterDownstream(granter graph.NodeID, m *core.DataMsg) bool {
 		}
 	}
 	me := l.node.ID()
+	myIdx, granterIdx := core.Positions(m.Forwarders, me, granter)
 	if m.Src == me {
 		// Every forwarder is downstream of the source.
-		for _, e := range m.Forwarders {
-			if e.Node == granter {
-				return true
-			}
-		}
-		return false
-	}
-	myIdx, granterIdx := -1, -1
-	for i, e := range m.Forwarders {
-		if e.Node == me {
-			myIdx = i
-		}
-		if e.Node == granter {
-			granterIdx = i
-		}
+		return granterIdx >= 0
 	}
 	// The forwarder list is ordered closest-to-destination first.
 	return granterIdx >= 0 && myIdx >= 0 && granterIdx < myIdx

@@ -111,15 +111,29 @@ type FwdEntry struct {
 	Credit float64
 }
 
-// wireBytes returns the on-air frame size for the message.
-func (m *DataMsg) wireBytes() int {
-	h := packet.MOREHeader{
-		Type:       packet.TypeData,
-		CodeVector: m.Packet.Vector,
-		Forwarders: make([]packet.Forwarder, len(m.Forwarders)),
+// Positions returns the indices of nodes a and b in a forwarder list,
+// which is ordered closest-to-destination first, with -1 for a node not on
+// it. It is the one scan behind every upstream/downstream test in MORE and
+// its credit layer.
+func Positions(fwd []FwdEntry, a, b graph.NodeID) (ia, ib int) {
+	ia, ib = -1, -1
+	for i, e := range fwd {
+		if e.Node == a {
+			ia = i
+		}
+		if e.Node == b {
+			ib = i
+		}
 	}
-	// Multicast destinations ride as one extra hashed byte each.
-	return h.EncodedSize() + len(m.Dsts) + len(m.Packet.Payload)
+	return ia, ib
+}
+
+// frame wraps the message in the broadcast frame from node, charged the
+// encoded MORE header, one hashed byte per multicast destination, and the
+// coded payload.
+func (m *DataMsg) frame(from graph.NodeID) *sim.Frame {
+	bytes := packet.MOREDataSize(len(m.Packet.Vector), len(m.Forwarders)) + len(m.Dsts) + len(m.Packet.Payload)
+	return &sim.Frame{From: from, To: graph.Broadcast, Bytes: bytes, Payload: m, FlowID: uint32(m.Flow)}
 }
 
 // AckMsg is the payload of a MORE batch ACK, unicast hop by hop along the
@@ -136,12 +150,6 @@ type AckMsg struct {
 	// the batch on overhearing them, because other destinations may still
 	// need it.
 	Multicast bool
-}
-
-func (m *AckMsg) wireBytes() int {
-	h := packet.MOREHeader{Type: packet.TypeACK}
-	a := packet.ACK{}
-	return h.EncodedSize() + a.EncodedSize()
 }
 
 // Node is the MORE protocol instance on one router.
@@ -224,7 +232,9 @@ func (n *Node) sweepStale() {
 type sourceState struct {
 	id        flow.ID
 	dst       graph.NodeID
-	batches   [][][]byte // native payloads per batch
+	file      flow.File // natives are generated one batch at a time
+	nbatches  int
+	natives   [][]byte // the current batch's natives, reused across batches
 	curBatch  int
 	src       *coding.Source
 	fwd       []FwdEntry
@@ -255,15 +265,14 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 	if err != nil {
 		return fmt.Errorf("core: flow %d: %w", id, err)
 	}
-	payloads := padForCoding(file.Payloads())
-	batches := splitBatches(payloads, n.cfg.BatchSize)
-	if len(batches) == 0 {
+	if file.NumPackets() == 0 {
 		return fmt.Errorf("core: flow %d: empty file", id)
 	}
 	st := &sourceState{
 		id:          id,
 		dst:         dst,
-		batches:     batches,
+		file:        file,
+		nbatches:    numBatches(file, n.cfg.BatchSize),
 		fwd:         fwdEntries(plan),
 		onDone:      onDone,
 		txAtStart:   n.node.Sim().Counters.Transmissions,
@@ -271,10 +280,10 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 	}
 	st.result = flow.Result{
 		Src: n.node.ID(), Dst: dst,
-		PacketsTotal: len(payloads),
+		PacketsTotal: file.NumPackets(),
 		Start:        n.node.Now(),
 	}
-	src, err := coding.NewSource(batches[0], n.node.Rand())
+	src, err := n.batchSource(st)
 	if err != nil {
 		return err
 	}
@@ -362,7 +371,7 @@ func (n *Node) advanceBatch(st *sourceState, acked uint32) {
 		return
 	}
 	st.curBatch++
-	if st.curBatch >= len(st.batches) {
+	if st.curBatch >= st.nbatches {
 		st.done = true
 		st.result.Completed = true
 		st.result.End = n.node.Now()
@@ -374,9 +383,9 @@ func (n *Node) advanceBatch(st *sourceState, acked uint32) {
 		return
 	}
 	n.refreshPlan(st, st.dst)
-	src, err := coding.NewSource(st.batches[st.curBatch], n.node.Rand())
+	src, err := n.batchSource(st)
 	if err != nil {
-		panic(err) // batches are validated at StartFlow
+		panic(err) // the file is validated at StartFlow
 	}
 	st.src = src
 	n.node.Emit(telemetry.Event{
@@ -403,19 +412,6 @@ type relayState struct {
 	dsts         []graph.NodeID // multicast destinations, nil for unicast
 	totalBatches int
 	lastActivity sim.Time
-}
-
-// clonePacket copies a received packet into relay-owned storage, drawing
-// from the per-flow pool when the shape matches. Received frames are shared
-// between all overhearing nodes, so the buffer must never store m.Packet
-// itself.
-func (r *relayState) clonePacket(p *coding.Packet) *coding.Packet {
-	if r.pool != nil && r.pool.Fits(p) {
-		q := r.pool.Get()
-		q.CopyFrom(p)
-		return q
-	}
-	return p.Clone()
 }
 
 func (n *Node) relayFor(m *DataMsg, myCredit float64) *relayState {
@@ -461,22 +457,22 @@ func (r *relayState) resetBatch(n *Node, m *DataMsg) {
 // --- Destination -------------------------------------------------------------
 
 type sinkState struct {
-	id            flow.ID
-	multicast     bool
-	src           graph.NodeID
-	curBatch      uint32
-	k             int
-	totalBatches  int
-	decoder       *coding.Decoder
-	pool          *coding.Pool // recycles received packets across batches
-	redundant     int
-	decodedUpTo   int64 // highest batch decoded (-1 none)
-	delivered     int
-	done          bool
-	lastActivity  sim.Time
-	result        flow.Result
-	onDone        func(flow.Result)
-	verifyAgainst [][]byte
+	id           flow.ID
+	multicast    bool
+	src          graph.NodeID
+	curBatch     uint32
+	k            int
+	totalBatches int
+	decoder      *coding.Decoder
+	pool         *coding.Pool // recycles received packets across batches
+	redundant    int
+	decodedUpTo  int64 // highest batch decoded (-1 none)
+	delivered    int
+	done         bool
+	lastActivity sim.Time
+	result       flow.Result
+	onDone       func(flow.Result)
+	expect       *flow.File // the file deliveries verify against (ExpectFlow)
 }
 
 // ExpectFlow registers the receive side: optional completion callback and
@@ -486,7 +482,7 @@ type sinkState struct {
 func (n *Node) ExpectFlow(id flow.ID, file flow.File, onDone func(flow.Result)) {
 	s := n.sinkFor(id)
 	s.onDone = onDone
-	s.verifyAgainst = file.Payloads()
+	s.expect = &file
 	s.result.PacketsTotal = file.NumPackets()
 }
 
@@ -533,16 +529,7 @@ func (n *Node) TopUpRelayCredit(id flow.ID, batch uint32, granter graph.NodeID, 
 	}
 	downstream := granter == r.dst
 	if !downstream {
-		me := n.node.ID()
-		myIdx, granterIdx := -1, -1
-		for i, e := range r.fwdList {
-			if e.Node == me {
-				myIdx = i
-			}
-			if e.Node == granter {
-				granterIdx = i
-			}
-		}
+		myIdx, granterIdx := Positions(r.fwdList, n.node.ID(), granter)
 		// The forwarder list is ordered closest-to-destination first.
 		downstream = myIdx >= 0 && granterIdx >= 0 && granterIdx < myIdx
 	}
@@ -648,7 +635,10 @@ func (n *Node) receiveData(f *sim.Frame, m *DataMsg) {
 		// Newer batch from the sender: flush buffered packets (§3.2.2).
 		r.resetBatch(n, m)
 	}
-	innovative := r.buffer.Innovative(m.Packet.Vector)
+	// Received frames are shared between all overhearing nodes, so the
+	// buffer admits a copy: Admit reads m.Packet and writes an innovative
+	// row into relay-owned storage from the per-flow pool.
+	innovative := r.buffer.Admit(m.Packet)
 	// Credit for receptions from upstream: the source or a forwarder
 	// farther from the destination (listed after us). Eq. (3.3) credits
 	// every upstream reception; the ablation credits only innovative ones.
@@ -656,7 +646,6 @@ func (n *Node) receiveData(f *sim.Frame, m *DataMsg) {
 		r.credit += r.myCredit
 	}
 	if innovative {
-		r.buffer.Add(r.clonePacket(m.Packet))
 		n.Innovative++
 		if n.cfg.PreCoding {
 			// Fold the fresh arrival into the prepared packet (§3.2.3(c)).
@@ -682,15 +671,7 @@ func (n *Node) isUpstream(sender, me graph.NodeID, m *DataMsg) bool {
 	if sender == m.Dst {
 		return false
 	}
-	myIdx, senderIdx := -1, -1
-	for i, e := range m.Forwarders {
-		if e.Node == me {
-			myIdx = i
-		}
-		if e.Node == sender {
-			senderIdx = i
-		}
-	}
+	myIdx, senderIdx := Positions(m.Forwarders, me, sender)
 	// Forwarder list is ordered by proximity to the destination, closest
 	// first; a later index is farther, i.e. upstream of an earlier one.
 	return senderIdx > myIdx
@@ -757,10 +738,13 @@ func (n *Node) sinkReceive(m *DataMsg) {
 	s.decodedUpTo = int64(m.Batch)
 	s.redundant = 0
 	base := int(m.Batch) * n.cfg.BatchSize
-	for i, p := range natives {
-		if s.verifyAgainst != nil {
+	if s.expect != nil {
+		for i, p := range natives {
+			// Natives carry the wire padding of a short final packet;
+			// only the file's real bytes are verified.
 			idx := base + i
-			if idx >= len(s.verifyAgainst) || !flow.VerifyPayload(p, s.verifyAgainst[idx]) {
+			size := s.expect.PacketLen(idx)
+			if size == 0 || size > len(p) || !s.expect.Verify(idx, p[:size]) {
 				s.result.Verified = false
 			}
 		}
@@ -857,7 +841,7 @@ func (n *Node) Pull() *sim.Frame {
 		f := &sim.Frame{
 			From:    n.node.ID(),
 			To:      next,
-			Bytes:   a.wireBytes(),
+			Bytes:   packet.MOREACKSize,
 			Payload: a,
 			FlowID:  uint32(a.Flow),
 		}
@@ -882,7 +866,7 @@ func (n *Node) pullFlow(id flow.ID) *sim.Frame {
 			Dst:          st.dst,
 			Batch:        uint32(st.curBatch),
 			K:            st.src.K(),
-			TotalBatches: len(st.batches),
+			TotalBatches: st.nbatches,
 			Packet:       pkt,
 			Forwarders:   st.fwd,
 		}
@@ -890,7 +874,7 @@ func (n *Node) pullFlow(id flow.ID) *sim.Frame {
 			m.Dsts = st.multicast.dsts
 		}
 		n.DataSent++
-		return &sim.Frame{From: n.node.ID(), To: graph.Broadcast, Bytes: m.wireBytes(), Payload: m, FlowID: uint32(id)}
+		return m.frame(n.node.ID())
 	}
 	if r, ok := n.relays[id]; ok && r.credit > 0 && r.buffer.Rank() > 0 {
 		var pkt *coding.Packet
@@ -918,7 +902,7 @@ func (n *Node) pullFlow(id flow.ID) *sim.Frame {
 			Forwarders:   n.fwdListFor(r),
 		}
 		n.DataSent++
-		return &sim.Frame{From: n.node.ID(), To: graph.Broadcast, Bytes: m.wireBytes(), Payload: m, FlowID: uint32(id)}
+		return m.frame(n.node.ID())
 	}
 	if r, ok := n.relays[id]; ok && r.credit <= 0 && r.buffer != nil && r.buffer.Rank() > 0 {
 		n.CreditDenied++

@@ -80,15 +80,14 @@ func (n *Node) StartMulticastFlow(id flow.ID, dsts []graph.NodeID, file flow.Fil
 	}
 	sortFwdByDist(fwd, dists)
 
-	payloads := padForCoding(file.Payloads())
-	batches := splitBatches(payloads, n.cfg.BatchSize)
-	if len(batches) == 0 {
+	if file.NumPackets() == 0 {
 		return fmt.Errorf("core: multicast flow %d: empty file", id)
 	}
 	st := &sourceState{
 		id:        id,
 		dst:       dsts[0],
-		batches:   batches,
+		file:      file,
+		nbatches:  numBatches(file, n.cfg.BatchSize),
 		fwd:       fwd,
 		onDone:    onDone,
 		txAtStart: n.node.Sim().Counters.Transmissions,
@@ -101,10 +100,10 @@ func (n *Node) StartMulticastFlow(id flow.ID, dsts []graph.NodeID, file flow.Fil
 	}
 	st.result = flow.Result{
 		Src: n.node.ID(), Dst: dsts[0],
-		PacketsTotal: len(payloads),
+		PacketsTotal: file.NumPackets(),
 		Start:        n.node.Now(),
 	}
-	src, err := coding.NewSource(batches[0], n.node.Rand())
+	src, err := n.batchSource(st)
 	if err != nil {
 		return err
 	}
@@ -127,35 +126,34 @@ func sortFwdByDist(fwd []FwdEntry, dist map[graph.NodeID]float64) {
 	})
 }
 
-// splitBatches chunks payloads into batches of at most k packets.
-// padForCoding zero-pads a short final payload back to the common packet
-// size: random linear coding needs equal-length symbols, so the wire always
-// carries full-size packets. The sink verifies (and the file accounts) only
-// the real bytes — flow.VerifyPayload ignores the padding.
-func padForCoding(payloads [][]byte) [][]byte {
-	if len(payloads) == 0 {
-		return payloads
-	}
-	size := len(payloads[0])
-	last := payloads[len(payloads)-1]
-	if len(last) < size {
-		padded := make([]byte, size)
-		copy(padded, last)
-		payloads[len(payloads)-1] = padded
-	}
-	return payloads
+// numBatches is the number of K-packet batches the file splits into.
+func numBatches(file flow.File, k int) int {
+	return (file.NumPackets() + k - 1) / k
 }
 
-func splitBatches(payloads [][]byte, k int) [][][]byte {
-	var batches [][][]byte
-	for i := 0; i < len(payloads); i += k {
-		end := i + k
-		if end > len(payloads) {
-			end = len(payloads)
-		}
-		batches = append(batches, payloads[i:end])
+// batchSource generates the current batch's natives into the source's
+// reusable buffers and returns a Source coding over them. A short final
+// payload is zero-padded back to the common packet size: random linear
+// coding needs equal-length symbols, so the wire always carries full-size
+// packets. The sink verifies only the real bytes (flow.File.Verify over
+// PacketLen).
+func (n *Node) batchSource(st *sourceState) (*coding.Source, error) {
+	k := n.cfg.BatchSize
+	first := st.curBatch * k
+	count := min(k, st.file.NumPackets()-first)
+	size := st.file.PacketLen(0)
+	for len(st.natives) < count {
+		st.natives = append(st.natives, make([]byte, 0, size))
 	}
-	return batches
+	natives := st.natives[:count]
+	for j := range natives {
+		p := st.file.AppendPacket(natives[j][:0], first+j)
+		filled := len(p)
+		p = p[:size]
+		clear(p[filled:])
+		natives[j] = p
+	}
+	return coding.NewSource(natives, n.node.Rand())
 }
 
 // multicastAck processes one destination's batch ACK at the source.

@@ -90,14 +90,6 @@ type DataMsg struct {
 	Payload       []byte
 }
 
-func (m *DataMsg) wireBytes() int {
-	h := packet.ExORHeader{
-		BatchMap:   m.BMap,
-		Forwarders: make([]uint8, len(m.Prio)),
-	}
-	return h.EncodedSize() + len(m.Payload)
-}
-
 // CleanupMsg carries one tail packet via traditional unicast routing.
 type CleanupMsg struct {
 	Flow    flow.ID
@@ -107,11 +99,6 @@ type CleanupMsg struct {
 	Payload []byte
 }
 
-func (m *CleanupMsg) wireBytes() int {
-	h := packet.SrcrHeader{Route: make([]graph.NodeID, 4)}
-	return h.EncodedSize() + len(m.Payload)
-}
-
 // DoneMsg tells the source (hop-by-hop unicast) that the destination holds
 // the whole batch.
 type DoneMsg struct {
@@ -119,11 +106,6 @@ type DoneMsg struct {
 	Batch  int
 	Final  bool
 	Target graph.NodeID // the flow source
-}
-
-func (m *DoneMsg) wireBytes() int {
-	h := packet.MOREHeader{Type: packet.TypeACK}
-	return h.EncodedSize() + 9
 }
 
 // Node is the ExOR instance on one router.
@@ -160,7 +142,7 @@ type exorFlow struct {
 
 	// Source-only.
 	isSource bool
-	batches  [][][]byte
+	file     flow.File // a batch's packets are generated when it loads
 	result   flow.Result
 	done     bool
 	onDone   func(flow.Result)
@@ -175,7 +157,7 @@ type exorFlow struct {
 	reDoneAt sim.Time
 
 	// Sink-only.
-	verify    [][]byte
+	expect    *flow.File // the file deliveries verify against (ExpectFlow)
 	delivered int
 	sinkRes   flow.Result
 	sinkDone  func(flow.Result)
@@ -215,8 +197,7 @@ func (n *Node) Init(sn *sim.Node) {
 	n.node = sn
 	if n.cfg.TurnGap == 0 {
 		c := sn.Sim().Config()
-		h := packet.ExORHeader{BatchMap: make([]uint8, n.cfg.BatchSize), Forwarders: make([]uint8, 8)}
-		n.cfg.TurnGap = sim.AirTime(h.EncodedSize()+n.cfg.PayloadSize, c.DataRate) +
+		n.cfg.TurnGap = sim.AirTime(packet.ExORDataSize(n.cfg.BatchSize, 8)+n.cfg.PayloadSize, c.DataRate) +
 			c.DIFS + sim.Time(c.CWMin/2)*c.SlotTime
 	}
 }
@@ -235,30 +216,21 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 	}
 	prio := append([]graph.NodeID{dst}, plan.Forwarders()...)
 	prio = append(prio, n.node.ID())
-	payloads := file.Payloads()
-	k := n.cfg.BatchSize
-	var batches [][][]byte
-	for i := 0; i < len(payloads); i += k {
-		end := i + k
-		if end > len(payloads) {
-			end = len(payloads)
-		}
-		batches = append(batches, payloads[i:end])
-	}
-	if len(batches) == 0 {
+	npkts := file.NumPackets()
+	if npkts == 0 {
 		return fmt.Errorf("exor: flow %d: empty file", id)
 	}
 	f := &exorFlow{
 		id: id, src: n.node.ID(), dst: dst,
 		prio: prio, myPrio: len(prio) - 1,
-		totalBatches: len(batches),
+		totalBatches: (npkts + n.cfg.BatchSize - 1) / n.cfg.BatchSize,
 		isSource:     true,
-		batches:      batches,
+		file:         file,
 		onDone:       onDone,
 		cleanedIdx:   make(map[int]bool),
 		planVersion:  n.state.Version(),
 	}
-	f.result = flow.Result{Src: n.node.ID(), Dst: dst, PacketsTotal: len(payloads), Start: n.node.Now()}
+	f.result = flow.Result{Src: n.node.ID(), Dst: dst, PacketsTotal: npkts, Start: n.node.Now()}
 	n.flows[id] = f
 	n.flowOrder = append(n.flowOrder, id)
 	n.loadSourceBatch(f, 0)
@@ -320,14 +292,13 @@ func (n *Node) loadSourceBatch(f *exorFlow, b int) {
 	}
 	f.batch = b
 	f.base = b * n.cfg.BatchSize
-	nat := f.batches[b]
-	f.k = len(nat)
+	f.k = min(n.cfg.BatchSize, f.file.NumPackets()-f.base)
 	f.have = make([]bool, f.k)
 	f.payload = make([][]byte, f.k)
 	f.bmap = make([]uint8, f.k)
-	for i := range nat {
+	for i := range f.payload {
 		f.have[i] = true
-		f.payload[i] = nat[i]
+		f.payload[i] = f.file.Packet(f.base + i)
 		f.bmap[i] = uint8(f.myPrio)
 	}
 	f.cleanup = false
@@ -342,7 +313,7 @@ func (n *Node) loadSourceBatch(f *exorFlow, b int) {
 // ExpectFlow wires destination-side reporting and verification.
 func (n *Node) ExpectFlow(id flow.ID, file flow.File, onDone func(flow.Result)) {
 	f := n.flowFor(id)
-	f.verify = file.Payloads()
+	f.expect = &file
 	f.sinkDone = onDone
 	f.sinkRes.PacketsTotal = file.NumPackets()
 	f.sinkRes.Dst = n.node.ID()
@@ -589,6 +560,7 @@ func (n *Node) receiveData(m *DataMsg) {
 		if !f.have[m.PktIdx] && m.Payload != nil {
 			f.have[m.PktIdx] = true
 			f.payload[m.PktIdx] = m.Payload
+			n.sinkVerify(f, m.PktIdx)
 			if f.myPrio >= 0 && uint8(f.myPrio) < f.bmap[m.PktIdx] {
 				f.bmap[m.PktIdx] = uint8(f.myPrio)
 				f.mapDirty = true
@@ -609,6 +581,15 @@ func (n *Node) receiveData(m *DataMsg) {
 	n.armTurn(f, m.SenderPrio, m.FragRemaining)
 }
 
+// sinkVerify checks a packet the destination just stored against the
+// file. Each stored payload is checked once, on arrival: it is never
+// replaced within its batch.
+func (n *Node) sinkVerify(f *exorFlow, idx int) {
+	if n.node.ID() == f.dst && f.expect != nil && !f.expect.Verify(f.base+idx, f.payload[idx]) {
+		f.sinkRes.Verified = false
+	}
+}
+
 // sinkProgress handles destination-side delivery accounting.
 func (n *Node) sinkProgress(f *exorFlow) {
 	if n.node.ID() != f.dst || f.k == 0 {
@@ -622,12 +603,6 @@ func (n *Node) sinkProgress(f *exorFlow) {
 	for i := 0; i < f.k; i++ {
 		if f.have[i] {
 			count++
-			if f.verify != nil {
-				idx := f.base + i
-				if idx >= len(f.verify) || !bytesEqual(f.payload[i], f.verify[idx]) {
-					f.sinkRes.Verified = false
-				}
-			}
 		}
 	}
 	total := f.base + count
@@ -658,18 +633,6 @@ func (n *Node) sinkProgress(f *exorFlow) {
 			}
 		}
 	}
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // maybeCleanup enters the 90% cleanup phase: best-known holders unicast the
@@ -706,10 +669,12 @@ func (n *Node) queueUnicast(payload interface{}, target graph.NodeID) {
 	var fid flow.ID
 	switch m := payload.(type) {
 	case *CleanupMsg:
-		bytes = m.wireBytes()
+		// A 4-hop source-route header stands in for the unicast routing
+		// header the cleanup packet travels under.
+		bytes = packet.SrcrSize(4) + len(m.Payload)
 		fid = m.Flow
 	case *DoneMsg:
-		bytes = m.wireBytes()
+		bytes = packet.MOREACKSize
 		fid = m.Flow
 	}
 	n.unicast = append(n.unicast, &sim.Frame{
@@ -727,6 +692,7 @@ func (n *Node) receiveCleanup(fr *sim.Frame, m *CleanupMsg) {
 		if f.k > 0 && m.Batch == f.batch && m.PktIdx < f.k && !f.have[m.PktIdx] {
 			f.have[m.PktIdx] = true
 			f.payload[m.PktIdx] = m.Payload
+			n.sinkVerify(f, m.PktIdx)
 			f.bmap[m.PktIdx] = 0
 			f.mapDirty = true
 			n.sinkProgress(f)
@@ -843,7 +809,8 @@ func (n *Node) dataFrame(f *exorFlow, idx, remaining int) *sim.Frame {
 	if idx >= 0 {
 		m.Payload = f.payload[idx]
 	}
-	return &sim.Frame{From: n.node.ID(), To: graph.Broadcast, Bytes: m.wireBytes(), Payload: m, FlowID: uint32(f.id)}
+	bytes := packet.ExORDataSize(len(m.BMap), len(m.Prio)) + len(m.Payload)
+	return &sim.Frame{From: n.node.ID(), To: graph.Broadcast, Bytes: bytes, Payload: m, FlowID: uint32(f.id)}
 }
 
 // Sent implements sim.Protocol.

@@ -164,7 +164,9 @@ func TestTable41Microbench(t *testing.T) {
 	// Shape, not absolute times: the independence check must be far
 	// cheaper than full coding/decoding (paper: 10 µs vs 270/260 µs), and
 	// coding and decoding should be within a small factor of each other.
-	if r.IndependenceCheck*5 > r.SourceCoding {
+	// Both are wall-clock ratios, meaningless under the race detector: it
+	// instruments the pure-Go vector loop but not the kernel assembly.
+	if r.IndependenceCheck*5 > r.SourceCoding && !raceEnabled {
 		t.Errorf("independence check (%v) not ≪ source coding (%v)", r.IndependenceCheck, r.SourceCoding)
 	}
 	// Coding and decoding are the same O(K·S) work; allow a wide band
@@ -172,7 +174,7 @@ func TestTable41Microbench(t *testing.T) {
 	// paper's own numbers (270 vs 260 µs) only establish same order of
 	// magnitude.
 	ratio := float64(r.SourceCoding) / float64(r.Decoding)
-	if ratio < 0.05 || ratio > 20 {
+	if (ratio < 0.05 || ratio > 20) && !raceEnabled {
 		t.Errorf("coding (%v) and decoding (%v) should be comparable", r.SourceCoding, r.Decoding)
 	}
 	// Modern hardware must far exceed the Celeron's 44 Mb/s. Wall-clock

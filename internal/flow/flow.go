@@ -6,8 +6,8 @@ package flow
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -17,7 +17,10 @@ import (
 // ID identifies a flow end to end.
 type ID uint32
 
-// File is a deterministic pseudorandom workload split into packets.
+// File is a deterministic pseudorandom workload split into packets. Its
+// contents are never stored: packet i is a pure function of (Seed, i), so
+// a source generates each packet when it sends it and a sink verifies a
+// delivery by regenerating the expected bytes, and neither holds the file.
 type File struct {
 	Seed    int64
 	Bytes   int
@@ -44,32 +47,99 @@ func (f File) TailSize() int {
 	return f.PktSize
 }
 
-// Payloads materializes the packet payloads. Every call returns identical
-// contents, so receivers can verify byte-exact delivery. The payloads carry
-// exactly Bytes bytes in total: when Bytes is not a multiple of PktSize the
-// final payload is truncated to the remainder, never padded — so byte-based
-// delivery accounting and content verification see the real file, not a
-// rounded-up one. (Protocols that need fixed-size symbols — MORE's network
-// coding — pad internally on the wire and strip the padding at delivery.)
-func (f File) Payloads() [][]byte {
-	rng := rand.New(rand.NewSource(f.Seed))
+// PacketLen returns the payload size of packet i: PktSize, except that the
+// final packet carries exactly TailSize bytes — never padding, so
+// byte-based delivery accounting and content verification see the real
+// file. (Protocols that need fixed-size symbols — MORE's network coding —
+// pad internally on the wire and strip the padding at delivery.) It is 0
+// for an index outside the file.
+func (f File) PacketLen(i int) int {
 	n := f.NumPackets()
-	out := make([][]byte, n)
-	for i := range out {
-		out[i] = make([]byte, f.PktSize)
-		rng.Read(out[i])
+	switch {
+	case i < 0 || i >= n:
+		return 0
+	case i == n-1:
+		return f.TailSize()
+	}
+	return f.PktSize
+}
+
+// Packet returns a freshly allocated copy of packet i's payload. Every call
+// returns identical contents.
+func (f File) Packet(i int) []byte {
+	return f.AppendPacket(make([]byte, 0, f.PacketLen(i)), i)
+}
+
+// AppendPacket appends packet i's payload to dst and returns the result;
+// appending to a reused buffer's [:0] allocates nothing.
+func (f File) AppendPacket(dst []byte, i int) []byte {
+	n := f.PacketLen(i)
+	s := f.stream(i)
+	for ; n >= 8; n -= 8 {
+		dst = binary.LittleEndian.AppendUint64(dst, s.next())
 	}
 	if n > 0 {
-		out[n-1] = out[n-1][:f.TailSize()]
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], s.next())
+		dst = append(dst, w[:n]...)
+	}
+	return dst
+}
+
+// Verify reports whether got is exactly packet i's payload: the right
+// length and the right bytes. It regenerates the expected bytes word by
+// word and allocates nothing. An index outside the file never verifies.
+func (f File) Verify(i int, got []byte) bool {
+	n := f.PacketLen(i)
+	if n == 0 || len(got) != n {
+		return false
+	}
+	s := f.stream(i)
+	for ; len(got) >= 8; got = got[8:] {
+		if binary.LittleEndian.Uint64(got) != s.next() {
+			return false
+		}
+	}
+	if len(got) > 0 {
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], s.next())
+		return bytes.Equal(got, w[:len(got)])
+	}
+	return true
+}
+
+// Payloads materializes every packet payload, as a loop over Packet. The
+// payloads carry exactly Bytes bytes in total (see PacketLen).
+func (f File) Payloads() [][]byte {
+	out := make([][]byte, f.NumPackets())
+	for i := range out {
+		out[i] = f.Packet(i)
 	}
 	return out
 }
 
-// VerifyPayload checks a delivered payload against the expected one. got
-// may carry trailing wire padding (fixed-size coded symbols); it matches
-// when it is at least as long as want and starts with want's bytes.
-func VerifyPayload(got, want []byte) bool {
-	return len(got) >= len(want) && bytes.Equal(got[:len(want)], want)
+// splitmix64 is the keyed per-packet generator behind a File: a splitmix64
+// stream (Steele, Lea & Flood, OOPSLA'14) whose starting state mixes the
+// file seed with the packet index, so any packet is generated on its own
+// in O(size) without replaying the ones before it.
+type splitmix64 uint64
+
+// stream returns packet i's generator.
+func (f File) stream(i int) splitmix64 {
+	return splitmix64(mix64(uint64(f.Seed) ^ mix64(uint64(i))))
+}
+
+// next advances the stream and returns its next 64-bit output.
+func (s *splitmix64) next() uint64 {
+	*s += 0x9e3779b97f4a7c15
+	return mix64(uint64(*s))
+}
+
+// mix64 is splitmix64's output finalizer.
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // Result reports a transfer's outcome, common to MORE, ExOR, and Srcr runs.

@@ -119,24 +119,8 @@ func TestFileUnalignedTailTruncated(t *testing.T) {
 	// Truncation is a prefix, not a different draw: first packets unchanged.
 	long := NewFile(1200, 300, 7).Payloads()
 	for i := 0; i < 3; i++ {
-		if !VerifyPayload(long[i], ps[i]) {
+		if !bytes.Equal(long[i], ps[i]) {
 			t.Fatalf("packet %d differs between aligned and unaligned draws", i)
 		}
-	}
-}
-
-func TestVerifyPayload(t *testing.T) {
-	want := []byte{1, 2, 3}
-	if !VerifyPayload([]byte{1, 2, 3}, want) {
-		t.Fatal("exact match rejected")
-	}
-	if !VerifyPayload([]byte{1, 2, 3, 0, 0}, want) {
-		t.Fatal("padded match rejected")
-	}
-	if VerifyPayload([]byte{1, 2}, want) {
-		t.Fatal("short payload accepted")
-	}
-	if VerifyPayload([]byte{1, 2, 9}, want) {
-		t.Fatal("corrupt payload accepted")
 	}
 }

@@ -38,7 +38,7 @@ const BatchMapUnknown = 0xFF
 
 // EncodedSize returns the on-air header size.
 func (h *ExORHeader) EncodedSize() int {
-	return 4 + 4 + 1 + 1 + 1 + 1 + 1 + len(h.BatchMap) + 1 + len(h.Forwarders)
+	return ExORDataSize(len(h.BatchMap), len(h.Forwarders))
 }
 
 // Encode appends the wire form of h to dst.
@@ -104,7 +104,7 @@ type SrcrHeader struct {
 }
 
 // EncodedSize returns the on-air header size (2 bytes per recorded hop).
-func (h *SrcrHeader) EncodedSize() int { return 4 + 4 + 1 + 1 + 2*len(h.Route) }
+func (h *SrcrHeader) EncodedSize() int { return SrcrSize(len(h.Route)) }
 
 // Encode appends the wire form of h to dst.
 func (h *SrcrHeader) Encode(dst []byte) ([]byte, error) {

@@ -97,7 +97,7 @@ const dataHeaderFixed = 1 + 2 + 1 + 1 + 1 + 1 + 1
 
 // EncodedSize returns the on-air size of the header in bytes.
 func (h *MOREHeader) EncodedSize() int {
-	return dataHeaderFixed + len(h.CodeVector) + 3*len(h.Forwarders)
+	return MOREDataSize(len(h.CodeVector), len(h.Forwarders))
 }
 
 // Encode appends the wire form of h to dst and returns the result.
@@ -115,8 +115,11 @@ func (h *MOREHeader) Encode(dst []byte) ([]byte, error) {
 	dst = append(dst, h.CodeVector...)
 	dst = append(dst, byte(len(h.Forwarders)))
 	for _, f := range h.Forwarders {
+		// A zero Hash on a known node means "not hashed yet". A decoded,
+		// unresolved entry (Node -1) keeps the hash it arrived with, zero
+		// included, so decoded headers re-encode to the same bytes.
 		hash := f.Hash
-		if hash == 0 {
+		if hash == 0 && f.Node >= 0 {
 			hash = NodeHash(f.Node)
 		}
 		dst = append(dst, hash)
@@ -214,7 +217,7 @@ type ACK struct {
 }
 
 // EncodedSize returns the encoded ACK body size.
-func (a *ACK) EncodedSize() int { return 9 }
+func (a *ACK) EncodedSize() int { return ackBodySize }
 
 // Encode appends the wire form of a to dst.
 func (a *ACK) Encode(dst []byte) []byte {

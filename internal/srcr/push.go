@@ -29,11 +29,11 @@ import (
 
 // pushState is the source-side state of one push flow.
 type pushState struct {
-	id       flow.ID
-	dst      graph.NodeID
-	tr       flow.Traffic
-	payloads [][]byte
-	route    []graph.NodeID
+	id    flow.ID
+	dst   graph.NodeID
+	tr    flow.Traffic
+	file  flow.File // payloads are generated as they are sent
+	route []graph.NodeID
 	// planVersion tracks the routing state generation; the route is
 	// recomputed when it moves (learned views converging, oracle
 	// invalidation after a topology event).
@@ -83,7 +83,7 @@ func (n *Node) StartPushFlow(id flow.ID, dst graph.NodeID, tr flow.Traffic, file
 	now := n.node.Now()
 	st := &pushState{
 		id: id, dst: dst, tr: tr,
-		payloads:    file.Payloads(),
+		file:        file,
 		route:       route,
 		planVersion: n.state.Version(),
 		epoch:       now,
@@ -175,7 +175,7 @@ func (n *Node) pushTick(st *pushState) {
 		Seq:     st.next,
 		Route:   st.route,
 		Hop:     0,
-		Payload: st.payloads[st.next],
+		Payload: st.file.Packet(st.next),
 	}
 	n.node.Emit(telemetry.Event{
 		Flow: uint32(st.id), Aux: int64(st.next), Kind: telemetry.KindPktSend,
@@ -192,7 +192,7 @@ func (n *Node) pushTick(st *pushState) {
 	default:
 		st.drops++
 	}
-	if st.next >= len(st.payloads) {
+	if st.next >= st.tr.Packets {
 		st.done = true
 		st.result.End = n.node.Now()
 		st.result.Completed = true // the source ran its full schedule

@@ -26,11 +26,6 @@ type FinMsg struct {
 	Source graph.NodeID
 }
 
-func (m *FinMsg) wireBytes() int {
-	h := packet.SrcrHeader{Route: make([]graph.NodeID, 4)}
-	return h.EncodedSize() + 6
-}
-
 // NackMsg lists the sequence numbers the destination still misses after a
 // pass (empty means the transfer is complete).
 type NackMsg struct {
@@ -38,15 +33,6 @@ type NackMsg struct {
 	Pass    int
 	Missing []int
 	Target  graph.NodeID // the flow source
-}
-
-func (m *NackMsg) wireBytes() int {
-	h := packet.SrcrHeader{Route: make([]graph.NodeID, 4)}
-	n := len(m.Missing)
-	if n > maxNackEntries {
-		n = maxNackEntries
-	}
-	return h.EncodedSize() + 6 + 2*n
 }
 
 // maxNackEntries bounds one NACK's payload; a 1500-byte frame fits ~700
@@ -76,10 +62,12 @@ func (n *Node) queueControl(payload interface{}, target graph.NodeID) {
 	var fid flow.ID
 	switch m := payload.(type) {
 	case *FinMsg:
-		bytes = m.wireBytes()
+		// Control rides a 4-hop source-route header plus a 6-byte body
+		// (flow, pass); a NACK adds two bytes per missing sequence number.
+		bytes = packet.SrcrSize(4) + 6
 		fid = m.Flow
 	case *NackMsg:
-		bytes = m.wireBytes()
+		bytes = packet.SrcrSize(4) + 6 + 2*min(len(m.Missing), maxNackEntries)
 		fid = m.Flow
 	}
 	n.control = append(n.control, &sim.Frame{
@@ -97,13 +85,13 @@ func (n *Node) receiveFin(fr *sim.Frame, m *FinMsg) {
 		return
 	}
 	s, ok := n.sinks[m.Flow]
-	if !ok || s.verify == nil {
+	if !ok || s.expect == nil {
 		// Unknown flow: report everything missing so the source keeps
 		// state consistent (should not happen with ExpectFlow).
 		return
 	}
 	missing := make([]int, 0, 16)
-	for seq := range s.verify {
+	for seq := range s.expect.NumPackets() {
 		if !s.haveSeq[seq] {
 			missing = append(missing, seq)
 			if len(missing) == maxNackEntries {

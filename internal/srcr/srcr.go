@@ -60,11 +60,6 @@ type DataMsg struct {
 	Payload []byte
 }
 
-func (m *DataMsg) wireBytes() int {
-	h := packet.SrcrHeader{Route: m.Route}
-	return h.EncodedSize() + len(m.Payload)
-}
-
 // Node is the Srcr instance on one router.
 type Node struct {
 	cfg   Config
@@ -96,7 +91,8 @@ type Node struct {
 type sourceState struct {
 	id       flow.ID
 	route    []graph.NodeID
-	payloads [][]byte
+	file     flow.File // payloads are generated as they are sent
+	npkts    int
 	nextSeq  int
 	inFlight bool
 	result   flow.Result
@@ -122,8 +118,8 @@ type sinkState struct {
 	id        flow.ID
 	delivered int
 	result    flow.Result
-	verify    [][]byte
-	haveSeq   []bool // per-sequence delivery (e2e duplicate suppression)
+	expect    *flow.File // the file deliveries verify against (ExpectFlow)
+	haveSeq   []bool     // per-sequence delivery (e2e duplicate suppression)
 	onDone    func(flow.Result)
 	done      bool
 }
@@ -161,12 +157,13 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 	st := &sourceState{
 		id:          id,
 		route:       route,
-		payloads:    file.Payloads(),
+		file:        file,
+		npkts:       file.NumPackets(),
 		onDone:      onDone,
 		planVersion: n.state.Version(),
 	}
 	if n.cfg.Reliable {
-		st.startPassTracking(len(st.payloads))
+		st.startPassTracking(st.npkts)
 	}
 	st.result = flow.Result{
 		Src: n.node.ID(), Dst: dst,
@@ -181,7 +178,7 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 
 // ExpectFlow wires up destination-side verification and reporting.
 func (n *Node) ExpectFlow(id flow.ID, file flow.File, onDone func(flow.Result)) {
-	s := &sinkState{id: id, verify: file.Payloads(), onDone: onDone}
+	s := &sinkState{id: id, expect: &file, onDone: onDone}
 	s.haveSeq = make([]bool, file.NumPackets())
 	s.result = flow.Result{Dst: n.node.ID(), PacketsTotal: file.NumPackets(), Verified: true}
 	n.sinks[id] = s
@@ -269,30 +266,16 @@ func (n *Node) deliver(m *DataMsg) {
 	})
 	s.result.PacketsDelivered = s.delivered
 	s.result.End = n.node.Now()
-	if s.verify != nil {
-		if m.Seq >= len(s.verify) || !bytesEqual(m.Payload, s.verify[m.Seq]) {
-			s.result.Verified = false
-		}
+	if s.expect != nil && !s.expect.Verify(m.Seq, m.Payload) {
+		s.result.Verified = false
 	}
-	if s.verify != nil && s.delivered == len(s.verify) && !s.done {
+	if s.expect != nil && s.delivered == s.expect.NumPackets() && !s.done {
 		s.done = true
 		s.result.Completed = true
 		if s.onDone != nil {
 			s.onDone(s.result)
 		}
 	}
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // HasControl reports whether FIN/NACK control traffic is queued — the
@@ -332,7 +315,7 @@ func (n *Node) Pull() *sim.Frame {
 			seq = st.pending[0]
 			st.pending = st.pending[1:]
 		} else {
-			if st.nextSeq >= len(st.payloads) {
+			if st.nextSeq >= st.npkts {
 				continue
 			}
 			seq = st.nextSeq
@@ -343,7 +326,7 @@ func (n *Node) Pull() *sim.Frame {
 			Seq:     seq,
 			Route:   st.route,
 			Hop:     0,
-			Payload: st.payloads[seq],
+			Payload: st.file.Packet(seq),
 		}
 		st.inFlight = true
 		n.node.Emit(telemetry.Event{
@@ -359,7 +342,7 @@ func (n *Node) frameFor(m *DataMsg) *sim.Frame {
 	f := &sim.Frame{
 		From:    n.node.ID(),
 		To:      to,
-		Bytes:   m.wireBytes(),
+		Bytes:   packet.SrcrSize(len(m.Route)) + len(m.Payload),
 		Payload: m,
 		FlowID:  uint32(m.Flow),
 	}
@@ -426,7 +409,7 @@ func (n *Node) Sent(f *sim.Frame, ok bool) {
 				if !st.done && len(st.pending) == 0 && !st.awaitingNack {
 					n.finishPass(st)
 				}
-			} else if st.nextSeq >= len(st.payloads) {
+			} else if st.nextSeq >= st.npkts {
 				st.done = true
 				st.result.End = n.node.Now()
 				if st.onDone != nil {
@@ -449,7 +432,7 @@ func (n *Node) hasPendingSource() bool {
 			if !st.awaitingNack && len(st.pending) > 0 {
 				return true
 			}
-		} else if st.nextSeq < len(st.payloads) {
+		} else if st.nextSeq < st.npkts {
 			return true
 		}
 	}
